@@ -60,6 +60,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use autosec_adversary::{calibrated_graph, CalibrationConfig};
@@ -75,7 +76,9 @@ use autosec_scengen::{evaluate_campaign, generate, CoverageMatrix, GenConfig};
 use autosec_sim::{ArchLayer, SimRng, Stride};
 use serde_json::{json, Value};
 
-struct Args {
+/// Parsed suite arguments (the default grammar).
+#[derive(Debug, Default)]
+struct SuiteArgs {
     filters: Vec<String>,
     seed: u64,
     jobs: usize,
@@ -97,7 +100,7 @@ struct Args {
     worker_one: Option<String>,
 }
 
-fn usage() -> ! {
+fn usage() {
     eprintln!(
         "usage: experiments [FILTER...] [--filter F] [--seed N] [--jobs N] [--trials-scale F] [--json] [--canonical] [--keep-going] [--retries N] [--deadline-secs N] [--isolate on|off|auto] [--rss-limit-mb N] [--cpu-limit-secs N] [--resume] [--out DIR] [--list]
        experiments fleet [...]   (live-fleet service mode; see `fleet --help`)
@@ -154,101 +157,95 @@ fn usage() -> ! {
   --out DIR     artifact directory (default {DEFAULT_ARTIFACT_DIR})
   --list        print the experiment catalogue and exit"
     );
-    std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        filters: Vec::new(),
+const POSITIVE: &str = "expected a positive integer";
+const UNSIGNED: &str = "expected an unsigned integer";
+
+/// A cursor over one grammar's arguments: the flag loop plus the value
+/// and number checks the suite, `fleet` and `generate` grammars share.
+/// Every rejection is an `Err` carrying the exact message the CLI
+/// prints; `--help` is the `Err("help")` each grammar returns itself.
+struct ArgCursor<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> ArgCursor<'a> {
+    /// The next flag or positional token.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The raw value following flag `name`.
+    fn value(&mut self, name: &str) -> Result<String, String> {
+        self.0
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("missing value for {name}"))
+    }
+
+    /// The value of `name` through `parse`; a rejection reads
+    /// `invalid NAME "V"`, plus `: EXPECT` when `expect` is non-empty.
+    fn mapped<T>(
+        &mut self,
+        name: &str,
+        expect: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self.value(name)?;
+        parse(&v).ok_or_else(|| match expect {
+            "" => format!("invalid {name} {v:?}"),
+            _ => format!("invalid {name} {v:?}: {expect}"),
+        })
+    }
+
+    /// The value of `name` parsed as `T`.
+    fn parsed<T: FromStr>(&mut self, name: &str) -> Result<T, String> {
+        self.mapped(name, "", |v| v.parse().ok())
+    }
+
+    /// The value of `name` as an integer greater than zero.
+    fn positive(&mut self, name: &str) -> Result<u64, String> {
+        self.mapped(name, POSITIVE, |v| v.parse().ok().filter(|n| *n > 0))
+    }
+
+    /// The value of `name` as a finite, nonnegative `what`.
+    fn finite_nonneg(&mut self, name: &str, what: &str) -> Result<f64, String> {
+        let expect = format!("expected a finite nonnegative {what}");
+        let ok = |x: &f64| x.is_finite() && *x >= 0.0;
+        self.mapped(name, &expect, |v| v.parse().ok().filter(ok))
+    }
+}
+
+/// Parses the suite argument grammar.
+fn parse_suite(raw: &[String]) -> Result<SuiteArgs, String> {
+    let mut args = SuiteArgs {
         seed: autosec_runner::DEFAULT_SEED,
         jobs: 1,
         trials_scale: 1.0,
-        json: false,
-        canonical: false,
-        list: false,
-        keep_going: false,
-        deadline_secs: None,
-        resume: false,
         out: DEFAULT_ARTIFACT_DIR.to_owned(),
-        isolate: IsolateMode::Auto,
-        retries: 0,
-        rss_limit_mb: None,
-        cpu_limit_secs: None,
-        worker_one: None,
+        ..SuiteArgs::default()
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--filter" | "-f" => args.filters.push(value("--filter")),
-            "--seed" | "-s" => {
-                let v = value("--seed");
-                args.seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --seed {v:?}: expected an unsigned integer");
-                    usage()
-                });
-            }
-            "--jobs" | "-j" => {
-                let v = value("--jobs");
-                args.jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --jobs {v:?}: expected a positive integer");
-                    usage()
-                });
-            }
+    let mut cur = ArgCursor(raw.iter());
+    while let Some(arg) = cur.next_flag() {
+        match arg {
+            "--filter" | "-f" => args.filters.push(cur.value("--filter")?),
+            "--seed" | "-s" => args.seed = cur.mapped("--seed", UNSIGNED, |v| v.parse().ok())?,
+            // `--jobs 0` passes here; `RunCtx::new` clamps it to 1.
+            "--jobs" | "-j" => args.jobs = cur.mapped("--jobs", POSITIVE, |v| v.parse().ok())?,
             "--trials-scale" | "-t" => {
-                let v = value("--trials-scale");
-                args.trials_scale = v
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("invalid --trials-scale {v:?}: expected a positive number");
-                        usage()
-                    });
+                args.trials_scale =
+                    cur.mapped("--trials-scale", "expected a positive number", |v| {
+                        v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    })?;
             }
-            "--deadline-secs" | "-d" => {
-                let v = value("--deadline-secs");
-                args.deadline_secs = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --deadline-secs {v:?}: expected a positive integer");
-                    usage()
-                }));
-            }
+            "--deadline-secs" | "-d" => args.deadline_secs = Some(cur.positive("--deadline-secs")?),
             "--isolate" => {
-                let v = value("--isolate");
-                args.isolate = IsolateMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("invalid --isolate {v:?}: expected on, off or auto");
-                    usage()
-                });
+                args.isolate =
+                    cur.mapped("--isolate", "expected on, off or auto", IsolateMode::parse)?;
             }
-            "--retries" => {
-                let v = value("--retries");
-                args.retries = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --retries {v:?}: expected an unsigned integer");
-                    usage()
-                });
-            }
-            "--rss-limit-mb" => {
-                let v = value("--rss-limit-mb");
-                args.rss_limit_mb =
-                    Some(v.parse().ok().filter(|mb| *mb > 0).unwrap_or_else(|| {
-                        eprintln!("invalid --rss-limit-mb {v:?}: expected a positive integer");
-                        usage()
-                    }));
-            }
-            "--cpu-limit-secs" => {
-                let v = value("--cpu-limit-secs");
-                args.cpu_limit_secs =
-                    Some(v.parse().ok().filter(|s| *s > 0).unwrap_or_else(|| {
-                        eprintln!("invalid --cpu-limit-secs {v:?}: expected a positive integer");
-                        usage()
-                    }));
-            }
-            "--worker-one" => args.worker_one = Some(value("--worker-one")),
+            "--retries" => args.retries = cur.mapped("--retries", UNSIGNED, |v| v.parse().ok())?,
+            "--rss-limit-mb" => args.rss_limit_mb = Some(cur.positive("--rss-limit-mb")?),
+            "--cpu-limit-secs" => args.cpu_limit_secs = Some(cur.positive("--cpu-limit-secs")?),
+            "--worker-one" => args.worker_one = Some(cur.value("--worker-one")?),
             "--json" => args.json = true,
             "--canonical" => args.canonical = true,
             "--keep-going" | "-k" => args.keep_going = true,
@@ -257,22 +254,29 @@ fn parse_args() -> Args {
                 args.json = true;
             }
             "--list" | "-l" => args.list = true,
-            "--out" | "-o" => args.out = value("--out"),
-            "--help" | "-h" => usage(),
-            other if !other.starts_with('-') => {
-                // Positional filter(s), compatible with the old runner.
-                args.filters.push(other.to_owned());
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
+            "--out" | "-o" => args.out = cur.value("--out")?,
+            "--help" | "-h" => return Err("help".to_owned()),
+            // Positional filter(s), compatible with the old runner.
+            other if !other.starts_with('-') => args.filters.push(other.to_owned()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    args
+    Ok(args)
 }
 
-fn fleet_usage() -> ! {
+/// Unwraps a parsed grammar, or prints its error (nothing extra for
+/// `--help`) and `usage` and exits 2.
+fn or_usage<T>(parsed: Result<T, String>, usage: fn()) -> T {
+    parsed.unwrap_or_else(|msg| {
+        if msg != "help" {
+            eprintln!("{msg}");
+        }
+        usage();
+        std::process::exit(2)
+    })
+}
+
+fn fleet_usage() {
     eprintln!(
         "usage: experiments fleet [--vehicles N] [--ticks N] [--shards N] [--seed N]
                           [--snapshot-every N] [--posture full|none|depth:K]
@@ -311,7 +315,6 @@ fn fleet_usage() -> ! {
   are stripped so artifacts from different shard counts diff
   byte-identical)."
     );
-    std::process::exit(2);
 }
 
 /// Parsed `fleet` subcommand arguments.
@@ -326,9 +329,11 @@ struct FleetArgs {
     out: String,
 }
 
-/// Parses the `fleet` argument grammar. Every rejection is a
-/// `Result::Err` with the exact message the CLI prints — each parse
-/// path is unit-tested below without spawning a process.
+const POSTURE: &str = "expected full, none or depth:K";
+const POSTURE_K: &str = "the architecture has 6 layers (K <= 6)";
+
+/// Parses the `fleet` argument grammar (each parse path is unit-tested
+/// below without spawning a process).
 fn parse_fleet(args: &[String]) -> Result<FleetArgs, String> {
     let mut cfg = FleetConfig {
         vehicles: 10_000,
@@ -340,94 +345,58 @@ fn parse_fleet(args: &[String]) -> Result<FleetArgs, String> {
     let mut canonical = false;
     let mut shards_given = false;
     let mut out = DEFAULT_ARTIFACT_DIR.to_owned();
-
-    fn parsed<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
-        v.parse().map_err(|_| format!("invalid {name} {v:?}"))
-    }
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--vehicles" | "-n" => cfg.vehicles = parsed("--vehicles", &value("--vehicles")?)?,
-            "--ticks" => cfg.ticks = parsed("--ticks", &value("--ticks")?)?,
+    let mut cur = ArgCursor(args.iter());
+    while let Some(arg) = cur.next_flag() {
+        match arg {
+            "--vehicles" | "-n" => cfg.vehicles = cur.parsed("--vehicles")?,
+            "--ticks" => cfg.ticks = cur.parsed("--ticks")?,
             "--shards" => {
-                cfg.shards = parsed("--shards", &value("--shards")?)?;
+                cfg.shards = cur.parsed("--shards")?;
                 shards_given = true;
             }
-            "--seed" | "-s" => cfg.seed = parsed("--seed", &value("--seed")?)?,
-            "--snapshot-every" => {
-                cfg.snapshot_every = parsed("--snapshot-every", &value("--snapshot-every")?)?;
-            }
-            "--attack-rate" => {
-                let v = value("--attack-rate")?;
-                cfg.attack_rate = parsed::<f64>("--attack-rate", &v)
-                    .ok()
-                    .filter(|r| r.is_finite() && *r >= 0.0)
-                    .ok_or_else(|| {
-                        format!("invalid --attack-rate {v:?}: expected a finite nonnegative rate")
-                    })?;
-            }
+            "--seed" | "-s" => cfg.seed = cur.parsed("--seed")?,
+            "--snapshot-every" => cfg.snapshot_every = cur.parsed("--snapshot-every")?,
+            "--attack-rate" => cfg.attack_rate = cur.finite_nonneg("--attack-rate", "rate")?,
             "--posture" => {
-                let v = value("--posture")?;
+                let v = cur.value("--posture")?;
                 cfg.posture = match v.as_str() {
                     "full" => DefensePosture::full(),
                     "none" => DefensePosture::none(),
-                    other => {
-                        let k: usize = other
-                            .strip_prefix("depth:")
-                            .and_then(|k| k.parse().ok())
-                            .ok_or_else(|| {
-                                format!("invalid --posture {v:?}: expected full, none or depth:K")
-                            })?;
-                        if k > 6 {
-                            return Err(format!(
-                                "invalid --posture {v:?}: the architecture has 6 layers (K <= 6)"
-                            ));
-                        }
-                        DefensePosture::depth(k)
-                    }
+                    other => match other.strip_prefix("depth:").map(str::parse::<usize>) {
+                        Some(Ok(k)) if k <= 6 => DefensePosture::depth(k),
+                        Some(Ok(_)) => return Err(format!("invalid --posture {v:?}: {POSTURE_K}")),
+                        _ => return Err(format!("invalid --posture {v:?}: {POSTURE}")),
+                    },
                 };
             }
             "--fidelity" => {
-                let v = value("--fidelity")?;
-                cfg.fidelity = Fidelity::parse(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --fidelity {v:?}: expected live, calibrated or mixed:K (K >= 1)"
-                    )
-                })?;
+                cfg.fidelity = cur.mapped(
+                    "--fidelity",
+                    "expected live, calibrated or mixed:K (K >= 1)",
+                    Fidelity::parse,
+                )?;
             }
             "--campaign" => {
-                let v = value("--campaign")?;
-                cfg.campaign = CampaignMode::parse(&v).ok_or_else(|| {
-                    format!("invalid --campaign {v:?}: expected fixed or generated:N (N >= 1)")
-                })?;
+                cfg.campaign = cur.mapped(
+                    "--campaign",
+                    "expected fixed or generated:N (N >= 1)",
+                    CampaignMode::parse,
+                )?;
             }
             "--defender" => {
-                let v = value("--defender")?;
-                cfg.defender = DefenderMode::parse(&v).ok_or_else(|| {
-                    format!("invalid --defender {v:?}: expected off, static or closed-loop")
-                })?;
+                cfg.defender = cur.mapped(
+                    "--defender",
+                    "expected off, static or closed-loop",
+                    DefenderMode::parse,
+                )?;
             }
             "--defender-budget" => {
-                let v = value("--defender-budget")?;
-                cfg.defender_budget = parsed::<f64>("--defender-budget", &v)
-                    .ok()
-                    .filter(|b| b.is_finite() && *b >= 0.0)
-                    .ok_or_else(|| {
-                        format!(
-                            "invalid --defender-budget {v:?}: expected a finite nonnegative budget"
-                        )
-                    })?;
+                cfg.defender_budget = cur.finite_nonneg("--defender-budget", "budget")?;
             }
             "--no-faults" => cfg.faults_enabled = false,
             "--json" => json = true,
             "--canonical" => canonical = true,
-            "--out" | "-o" => out = value("--out")?,
+            "--out" | "-o" => out = cur.value("--out")?,
             "--help" | "-h" => return Err("help".to_owned()),
             other => return Err(format!("unknown fleet argument {other:?}")),
         }
@@ -446,23 +415,9 @@ fn parse_fleet(args: &[String]) -> Result<FleetArgs, String> {
 
 /// The `fleet` subcommand: one live-fleet run with a human summary
 /// and an optional `fleet.json` artifact.
-fn fleet_main(args: &[String]) -> ExitCode {
-    let FleetArgs {
-        mut cfg,
-        json,
-        canonical,
-        shards_given,
-        out,
-    } = match parse_fleet(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            if msg != "help" {
-                eprintln!("{msg}");
-            }
-            fleet_usage();
-        }
-    };
-    if !shards_given {
+fn fleet_main(args: FleetArgs) -> ExitCode {
+    let mut cfg = args.cfg;
+    if !args.shards_given {
         // Default: one shard per available core, capped by fleet size.
         // An explicit --shards overrides (still capped at runtime).
         cfg.shards = std::thread::available_parallelism()
@@ -543,27 +498,43 @@ fn fleet_main(args: &[String]) -> ExitCode {
         );
     }
 
-    if json {
-        let store = match ArtifactStore::create(&out) {
-            Ok(s) if canonical => s.canonical(),
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot create artifact dir {out:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match store.write_json("fleet", &report.to_json()) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("fleet artifact write failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if args.json {
+        return write_artifact(&args.out, args.canonical, "fleet", &report.to_json());
     }
     ExitCode::SUCCESS
 }
 
-fn generate_usage() -> ! {
+/// Opens the artifact directory `out` (canonical if asked), reporting a
+/// failure on stderr.
+fn open_store(out: &str, canonical: bool) -> Option<ArtifactStore> {
+    match ArtifactStore::create(out) {
+        Ok(s) if canonical => Some(s.canonical()),
+        Ok(s) => Some(s),
+        Err(e) => {
+            eprintln!("cannot create artifact dir {out:?}: {e}");
+            None
+        }
+    }
+}
+
+/// Writes a subcommand's single `<name>.json` artifact under `out`.
+fn write_artifact(out: &str, canonical: bool, name: &str, artifact: &Value) -> ExitCode {
+    let Some(store) = open_store(out, canonical) else {
+        return ExitCode::FAILURE;
+    };
+    match store.write_json(name, artifact) {
+        Ok(path) => {
+            eprintln!("wrote {}", path.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{name} artifact write failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn generate_usage() {
     eprintln!(
         "usage: experiments generate [--count N] [--max-len N] [--seed N] [--jobs N]
                             [--trials N] [--layer L] [--stride-class S]
@@ -594,7 +565,6 @@ fn generate_usage() -> ! {
                    --jobs diff byte-identical
   --out DIR        artifact directory (default {DEFAULT_ARTIFACT_DIR})"
     );
-    std::process::exit(2);
 }
 
 /// Parsed `generate` subcommand arguments.
@@ -608,24 +578,7 @@ struct GenerateArgs {
     out: String,
 }
 
-/// Parses an [`ArchLayer`] CLI label (the `Display` strings, plus a
-/// few forgiving aliases).
-fn parse_layer(s: &str) -> Option<ArchLayer> {
-    match s.to_lowercase().as_str() {
-        "physical" | "phy" => Some(ArchLayer::Physical),
-        "network" | "net" | "ivn" => Some(ArchLayer::Network),
-        "software/platform" | "software-platform" | "platform" | "sdv" => {
-            Some(ArchLayer::SoftwarePlatform)
-        }
-        "data" => Some(ArchLayer::Data),
-        "system-of-systems" | "sos" => Some(ArchLayer::SystemOfSystems),
-        "collaboration" | "collab" => Some(ArchLayer::Collaboration),
-        _ => None,
-    }
-}
-
-/// Parses the `generate` argument grammar; `Err` carries the exact
-/// message the CLI prints (unit-tested below).
+/// Parses the `generate` argument grammar (unit-tested below).
 fn parse_generate(args: &[String]) -> Result<GenerateArgs, String> {
     let mut cfg = GenConfig::new(16, 6, autosec_runner::DEFAULT_SEED);
     let mut trials = 200usize;
@@ -633,43 +586,31 @@ fn parse_generate(args: &[String]) -> Result<GenerateArgs, String> {
     let mut json = false;
     let mut canonical = false;
     let mut out = DEFAULT_ARTIFACT_DIR.to_owned();
-
-    fn parsed<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
-        v.parse().map_err(|_| format!("invalid {name} {v:?}"))
-    }
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--count" | "-c" => cfg.count = parsed("--count", &value("--count")?)?,
-            "--max-len" => cfg.max_len = parsed("--max-len", &value("--max-len")?)?,
-            "--seed" | "-s" => cfg.seed = parsed("--seed", &value("--seed")?)?,
-            "--jobs" | "-j" => jobs = parsed("--jobs", &value("--jobs")?)?,
-            "--trials" => trials = parsed("--trials", &value("--trials")?)?,
+    let mut cur = ArgCursor(args.iter());
+    while let Some(arg) = cur.next_flag() {
+        match arg {
+            "--count" | "-c" => cfg.count = cur.parsed("--count")?,
+            "--max-len" => cfg.max_len = cur.parsed("--max-len")?,
+            "--seed" | "-s" => cfg.seed = cur.parsed("--seed")?,
+            "--jobs" | "-j" => jobs = cur.parsed("--jobs")?,
+            "--trials" => trials = cur.parsed("--trials")?,
             "--layer" => {
-                let v = value("--layer")?;
-                cfg.layer = Some(parse_layer(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --layer {v:?}: expected physical, network, software/platform, data, system-of-systems or collaboration"
-                    )
-                })?);
+                cfg.layer = Some(cur.mapped(
+                    "--layer",
+                    "expected physical, network, software/platform, data, system-of-systems or collaboration",
+                    ArchLayer::parse,
+                )?);
             }
             "--stride-class" => {
-                let v = value("--stride-class")?;
-                cfg.stride = Some(Stride::parse(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --stride-class {v:?}: expected a STRIDE class label (e.g. spoofing, denial-of-service) or mnemonic s/t/r/i/d/e"
-                    )
-                })?);
+                cfg.stride = Some(cur.mapped(
+                    "--stride-class",
+                    "expected a STRIDE class label (e.g. spoofing, denial-of-service) or mnemonic s/t/r/i/d/e",
+                    Stride::parse,
+                )?);
             }
             "--json" => json = true,
             "--canonical" => canonical = true,
-            "--out" | "-o" => out = value("--out")?,
+            "--out" | "-o" => out = cur.value("--out")?,
             "--help" | "-h" => return Err("help".to_owned()),
             other => return Err(format!("unknown generate argument {other:?}")),
         }
@@ -688,23 +629,10 @@ fn parse_generate(args: &[String]) -> Result<GenerateArgs, String> {
 }
 
 /// The `generate` subcommand: compose, replay, and report coverage.
-fn generate_main(args: &[String]) -> ExitCode {
+fn generate_main(args: GenerateArgs) -> ExitCode {
     let GenerateArgs {
-        cfg,
-        trials,
-        jobs,
-        json: write_json,
-        canonical,
-        out,
-    } = match parse_generate(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            if msg != "help" {
-                eprintln!("{msg}");
-            }
-            generate_usage();
-        }
-    };
+        cfg, trials, jobs, ..
+    } = args;
 
     // Same calibration machinery and trial count as the fleet service
     // mode — generated campaigns replay the measured graph, never a
@@ -782,7 +710,7 @@ fn generate_main(args: &[String]) -> ExitCode {
         );
     }
 
-    if write_json {
+    if args.json {
         let artifact: Value = json!({
             "config": {
                 "count": cfg.count,
@@ -811,21 +739,7 @@ fn generate_main(args: &[String]) -> ExitCode {
                 })).collect::<Vec<_>>(),
             },
         });
-        let store = match ArtifactStore::create(&out) {
-            Ok(s) if canonical => s.canonical(),
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot create artifact dir {out:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match store.write_json("scengen", &artifact) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("scengen artifact write failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        return write_artifact(&args.out, args.canonical, "scengen", &artifact);
     }
     ExitCode::SUCCESS
 }
@@ -836,7 +750,7 @@ fn generate_main(args: &[String]) -> ExitCode {
 /// `<slug>.panic.txt` carrying the original panic message on panic.
 /// The supervising parent polls budgets and classifies kills — this
 /// child only installs the rlimit backstops and computes.
-fn worker_main(slug: &str, args: &Args) -> ExitCode {
+fn worker_main(slug: &str, args: &SuiteArgs) -> ExitCode {
     apply_worker_rlimits(ResourceBudgets {
         rss_limit_mb: args.rss_limit_mb,
         cpu_limit_secs: args.cpu_limit_secs,
@@ -885,14 +799,15 @@ fn main() -> ExitCode {
     // The `fleet` and `generate` subcommands have their own argument
     // grammars.
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("fleet") {
-        return fleet_main(&raw[1..]);
+    match raw.first().map(String::as_str) {
+        Some("fleet") => fleet_main(or_usage(parse_fleet(&raw[1..]), fleet_usage)),
+        Some("generate") => generate_main(or_usage(parse_generate(&raw[1..]), generate_usage)),
+        _ => suite_main(or_usage(parse_suite(&raw), usage)),
     }
-    if raw.first().map(String::as_str) == Some("generate") {
-        return generate_main(&raw[1..]);
-    }
+}
 
-    let args = parse_args();
+/// The default mode: run the selected experiments as a suite.
+fn suite_main(args: SuiteArgs) -> ExitCode {
     if let Some(slug) = args.worker_one.clone() {
         return worker_main(&slug, &args);
     }
@@ -942,17 +857,9 @@ fn main() -> ExitCode {
     }
 
     let ctx = RunCtx::new(args.seed, args.jobs).with_trials_scale(args.trials_scale);
-    let store = if args.json {
-        match ArtifactStore::create(&args.out) {
-            Ok(s) if args.canonical => Some(s.canonical()),
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("cannot create artifact dir {:?}: {e}", args.out);
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
+    let store = match args.json.then(|| open_store(&args.out, args.canonical)) {
+        Some(None) => return ExitCode::FAILURE,
+        opened => opened.flatten(),
     };
 
     // Resume: reuse completed artifacts from the prior manifest when
@@ -1158,10 +1065,111 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+
+    fn owned(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
+    }
+
+    fn suite(args: &[&str]) -> Result<SuiteArgs, String> {
+        parse_suite(&owned(args))
+    }
 
     fn fleet(args: &[&str]) -> Result<FleetArgs, String> {
-        let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
-        parse_fleet(&owned)
+        parse_fleet(&owned(args))
+    }
+
+    #[test]
+    fn suite_rejects_zero_deadline() {
+        assert_eq!(
+            suite(&["--deadline-secs", "0"]).unwrap_err(),
+            "invalid --deadline-secs \"0\": expected a positive integer"
+        );
+        assert!(suite(&["-d", "0"]).unwrap_err().contains("--deadline-secs"));
+        assert_eq!(suite(&["-d", "3"]).unwrap().deadline_secs, Some(3));
+    }
+
+    #[test]
+    fn suite_rejections_name_their_flag() {
+        let cases = "--seed abc, --filter, --bogus, --trials-scale 0, --trials-scale NaN, \
+            --trials-scale inf, --isolate maybe, --rss-limit-mb 0, --cpu-limit-secs 0, --jobs -1, \
+            --retries x";
+        for case in cases.split(", ") {
+            let args: Vec<&str> = case.split(' ').collect();
+            let err = suite(&args).unwrap_err();
+            assert!(err.contains(args[0]), "{case}: {err}");
+        }
+        assert_eq!(suite(&["-f"]).unwrap_err(), "missing value for --filter");
+        assert_eq!(
+            suite(&["--seed", "abc"]).unwrap_err(),
+            "invalid --seed \"abc\": expected an unsigned integer"
+        );
+        assert_eq!(suite(&["--help"]).unwrap_err(), "help");
+    }
+
+    #[test]
+    fn suite_accepts_zero_jobs_positional_filters_and_resume() {
+        let a = suite(&[]).expect("empty args are the defaults");
+        assert_eq!(
+            (a.seed, a.jobs, a.trials_scale),
+            (autosec_runner::DEFAULT_SEED, 1, 1.0)
+        );
+        assert!(a.filters.is_empty() && !a.json && a.deadline_secs.is_none());
+        assert_eq!(
+            (a.isolate, a.out.as_str()),
+            (IsolateMode::Auto, DEFAULT_ARTIFACT_DIR)
+        );
+        let a = suite(&["--jobs", "0"]).unwrap();
+        assert_eq!(a.jobs, 0);
+        assert_eq!(RunCtx::new(a.seed, a.jobs).jobs, 1, "clamped by RunCtx");
+        let a = suite(&["E10", "--filter", "e2-lrp-rounds", "tag:fleet", "-f", "E1"]).unwrap();
+        assert_eq!(a.filters, ["E10", "e2-lrp-rounds", "tag:fleet", "E1"]);
+        let a = suite(&["--resume"]).unwrap();
+        assert!(a.resume && a.json);
+        let a = suite(&["--isolate", "on", "--rss-limit-mb", "64", "-t", "0.1"]).unwrap();
+        assert_eq!(a.isolate, IsolateMode::On);
+        assert_eq!((a.rss_limit_mb, a.trials_scale), (Some(64), 0.1));
+    }
+
+    /// Random token sequences never panic any grammar, and every
+    /// rejection other than `help` names a `--flag` or quotes the
+    /// offending token.
+    #[test]
+    fn grammars_never_panic_and_name_the_culprit() {
+        const FLAGS: &str = "--filter -f --seed -s --jobs -j --trials-scale -t --deadline-secs -d \
+            --isolate --retries --rss-limit-mb --cpu-limit-secs --json --canonical --keep-going \
+            --resume --list --out -o --help --vehicles -n --ticks --shards --snapshot-every \
+            --attack-rate --posture --fidelity --campaign --defender --defender-budget \
+            --no-faults --count -c --max-len --trials --layer --stride-class";
+        const VALUES: &str = "0 1 7 -3 2.5 NaN inf 1e999 99999999999999999999 on auto full \
+            depth:7 depth:2 mixed:0 mixed:4 generated:3 closed-loop sos dos";
+        const JUNK: &str = "--warp -x - -- E10 tag:fleet ü --seed=";
+        let pools: Vec<Vec<&str>> = [FLAGS, VALUES, JUNK]
+            .iter()
+            .map(|p| p.split_whitespace().collect())
+            .collect();
+        let root = SimRng::seed(0xA5_9A55);
+        for case in 0..512 {
+            let mut rng = root.fork_idx(case);
+            let tokens: Vec<String> = (0..rng.gen_range(0usize..8))
+                .map(|_| {
+                    let pool = &pools[rng.gen_range(0..pools.len())];
+                    pool[rng.gen_range(0..pool.len())].to_owned()
+                })
+                .collect();
+            let errors = [
+                parse_suite(&tokens).err(),
+                parse_fleet(&tokens).err(),
+                parse_generate(&tokens).err(),
+            ];
+            for err in errors.into_iter().flatten().filter(|e| e != "help") {
+                let named = pools[0]
+                    .iter()
+                    .any(|f| f.starts_with("--") && err.contains(f))
+                    || tokens.iter().any(|t| err.contains(&format!("{t:?}")));
+                assert!(named, "{tokens:?}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -1236,8 +1244,7 @@ mod tests {
     }
 
     fn gen(args: &[&str]) -> Result<GenerateArgs, String> {
-        let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
-        parse_generate(&owned)
+        parse_generate(&owned(args))
     }
 
     #[test]
@@ -1280,15 +1287,6 @@ mod tests {
         }
         assert_eq!(gen(&["--count"]).unwrap_err(), "missing value for --count");
         assert!(gen(&["--warp"]).unwrap_err().contains("unknown generate"));
-    }
-
-    #[test]
-    fn layer_labels_round_trip_through_parse_layer() {
-        for layer in ArchLayer::ALL {
-            assert_eq!(parse_layer(&layer.to_string()), Some(layer));
-        }
-        assert_eq!(parse_layer("SOS"), Some(ArchLayer::SystemOfSystems));
-        assert_eq!(parse_layer("nope"), None);
     }
 
     #[test]

@@ -435,13 +435,6 @@ pub fn registry() -> Registry {
     r
 }
 
-/// Every experiment table in order, under the default context
-/// (seed 42, one worker). Compatibility wrapper over [`registry`].
-pub fn all_tables() -> Vec<Table> {
-    let ctx = RunCtx::default();
-    registry().iter().map(|e| e.run(&ctx)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,9 +22,10 @@
 //!   title, tags, cost class, and a closure producing a [`Table`].
 //! - [`RunCtx`] — seed + job count handed to every experiment.
 //! - [`WorkStealingPool`] — index-claiming pool used by [`par_trials`].
-//! - [`par_trials`] / [`par_trials_fold`] — deterministic parallel
-//!   Monte-Carlo sweeps; the `try_` variants quarantine panicking
-//!   trials as [`TrialOutcome`]s instead of unwinding.
+//! - [`par_trials`] / [`try_par_trials`] — the two deterministic
+//!   parallel Monte-Carlo entry points: the first propagates a
+//!   panicking trial, the second quarantines it as a [`TrialOutcome`]
+//!   instead of unwinding.
 //! - [`suite`] — the fault-tolerant suite runner: per-experiment
 //!   `catch_unwind`, cost-derived soft deadlines, keep-going
 //!   degradation, seeded retry backoff, and resume skip sets.
@@ -60,10 +61,7 @@ pub use artifact::{
     ResumeState, RunManifest, RunStatus,
 };
 pub use ctx::{RunCtx, DEFAULT_SEED};
-pub use par::{
-    panic_message, par_trials, par_trials_fold, silence_panics, try_par_trials,
-    try_par_trials_fold, TrialOutcome,
-};
+pub use par::{panic_message, par_trials, silence_panics, try_par_trials, TrialOutcome};
 pub use pool::WorkStealingPool;
 pub use proc::{
     apply_worker_rlimits, retry_delay, worker_failure_path, IsolateMode, ResourceBudgets,

@@ -10,13 +10,16 @@
 //! a panicking trial can never poison another trial's slot or leak a
 //! generic "a scoped thread panicked" message:
 //!
-//! - [`par_trials`] / [`par_trials_fold`] **propagate** the original
-//!   panic payload of the lowest-index panicking trial (all trials are
-//!   still attempted first, so the choice is identical for every
-//!   `jobs` value).
-//! - [`try_par_trials`] / [`try_par_trials_fold`] **quarantine**:
-//!   each slot becomes a [`TrialOutcome`] (`Ok` or `Panicked`), in
-//!   trial order, bit-identical for every `jobs` value.
+//! - [`par_trials`] **propagates** the original panic payload of the
+//!   lowest-index panicking trial (all trials are still attempted
+//!   first, so the choice is identical for every `jobs` value).
+//! - [`try_par_trials`] **quarantines**: each slot becomes a
+//!   [`TrialOutcome`] (`Ok` or `Panicked`), in trial order,
+//!   bit-identical for every `jobs` value.
+//!
+//! Both return the whole trial-ordered `Vec`; callers that accumulate
+//! fold over it with a plain loop, which sees the outputs in ascending
+//! trial order.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -201,54 +204,6 @@ where
         .collect()
 }
 
-/// [`par_trials`] followed by an **in-order** fold — the parallel
-/// drop-in for the classic `for _ in 0..trials { acc.add(...) }` loop.
-///
-/// `fold(acc, i, out)` sees trial outputs in ascending trial order, so
-/// even order-sensitive accumulators merge deterministically.
-pub fn par_trials_fold<T, A, F, G>(
-    jobs: usize,
-    n: usize,
-    base: &SimRng,
-    trial: F,
-    init: A,
-    fold: G,
-) -> A
-where
-    T: Send,
-    F: Fn(usize, SimRng) -> T + Sync,
-    G: FnMut(A, usize, T) -> A,
-{
-    let mut fold = fold;
-    par_trials(jobs, n, base, trial)
-        .into_iter()
-        .enumerate()
-        .fold(init, |acc, (i, out)| fold(acc, i, out))
-}
-
-/// [`try_par_trials`] followed by an **in-order** fold over the
-/// [`TrialOutcome`]s — quarantine-aware accumulation (skip, count, or
-/// inspect panicked slots as the fold sees fit).
-pub fn try_par_trials_fold<T, A, F, G>(
-    jobs: usize,
-    n: usize,
-    base: &SimRng,
-    trial: F,
-    init: A,
-    fold: G,
-) -> A
-where
-    T: Send,
-    F: Fn(usize, SimRng) -> T + Sync,
-    G: FnMut(A, usize, TrialOutcome<T>) -> A,
-{
-    let mut fold = fold;
-    try_par_trials(jobs, n, base, trial)
-        .into_iter()
-        .enumerate()
-        .fold(init, |acc, (i, out)| fold(acc, i, out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,24 +233,6 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, base.fork_idx(i as u64).next_u64());
         }
-    }
-
-    #[test]
-    fn fold_sees_ascending_indices() {
-        let base = SimRng::seed(5);
-        let order = par_trials_fold(
-            4,
-            64,
-            &base,
-            |i, _| i,
-            Vec::new(),
-            |mut acc: Vec<usize>, i, out| {
-                assert_eq!(i, out);
-                acc.push(i);
-                acc
-            },
-        );
-        assert_eq!(order, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -361,35 +298,6 @@ mod tests {
                 "jobs={jobs}"
             );
         }
-    }
-
-    #[test]
-    fn try_fold_sees_quarantined_slots_in_order() {
-        let base = SimRng::seed(3);
-        let (sum, panics) = try_par_trials_fold(
-            4,
-            32,
-            &base,
-            |i, _| {
-                if i % 7 == 0 {
-                    panic!("die {i}");
-                }
-                i
-            },
-            (0usize, 0usize),
-            |(sum, panics), i, out| match out {
-                TrialOutcome::Ok(v) => {
-                    assert_eq!(v, i);
-                    (sum + v, panics)
-                }
-                TrialOutcome::Panicked { message } => {
-                    assert_eq!(message, format!("die {i}"));
-                    (sum, panics + 1)
-                }
-            },
-        );
-        assert_eq!(panics, 5, "trials 0,7,14,21,28");
-        assert_eq!(sum, (0..32).filter(|i| i % 7 != 0).sum::<usize>());
     }
 
     #[test]

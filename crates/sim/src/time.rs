@@ -6,7 +6,7 @@
 //! attacks of Fig. 2 shift arrival estimates by fractions of that.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An absolute instant on the simulation clock, in picoseconds since the
 /// start of the simulation.
@@ -104,15 +104,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: Self) -> Self {
         Self(self.0.saturating_sub(rhs.0))
     }
-
-    /// Multiplies by an integer factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on overflow in debug builds (standard integer semantics).
-    pub fn times(self, n: u64) -> Self {
-        Self(self.0 * n)
-    }
 }
 
 impl SimTime {
@@ -176,12 +167,6 @@ impl Sub for SimDuration {
     }
 }
 
-impl SubAssign for SimDuration {
-    fn sub_assign(&mut self, rhs: SimDuration) {
-        self.0 -= rhs.0;
-    }
-}
-
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
@@ -221,12 +206,6 @@ impl fmt::Display for SimTime {
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt_ps(self.0, f)
-    }
-}
-
-impl From<SimDuration> for SimTime {
-    fn from(d: SimDuration) -> Self {
-        SimTime(d.0)
     }
 }
 
@@ -293,6 +272,5 @@ mod tests {
         let d = SimDuration::from_us(4);
         assert_eq!(d * 2, SimDuration::from_us(8));
         assert_eq!(d / 2, SimDuration::from_us(2));
-        assert_eq!(d.times(3), SimDuration::from_us(12));
     }
 }
