@@ -80,108 +80,200 @@ impl Sha256 {
             .checked_add(data.len() as u64)
             .expect("SHA-256 input exceeds 2^64 bytes");
         if self.buffered > 0 {
-            let need = 64 - self.buffered;
-            let take = need.min(data.len());
+            let take = (64 - self.buffered).min(data.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        let (blocks, rest) = data.as_chunks::<64>();
+        compress_blocks(&mut self.state, blocks);
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finishes and returns the digest, consuming the hasher state.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.length_bytes.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let rem = (self.length_bytes % 64) as usize;
-        let pad_len = if rem < 56 { 56 - rem } else { 120 - rem };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        // Bypass length accounting for the padding itself.
-        let mut data: &[u8] = &tail;
-        if self.buffered > 0 {
-            let need = 64 - self.buffered;
-            self.buffer[self.buffered..64].copy_from_slice(&data[..need]);
-            let block = self.buffer;
-            self.compress(&block);
-            data = &data[need..];
-        }
-        for chunk in data.chunks(64) {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
-        }
+        // Padding: 0x80, zeros, 64-bit big-endian bit length — one block,
+        // or two when fewer than 9 bytes are left in the buffered one.
+        let rem = self.buffered;
+        let mut blocks = [[0u8; 64]; 2];
+        blocks[0][..rem].copy_from_slice(&self.buffer[..rem]);
+        blocks[0][rem] = 0x80;
+        let used = if rem < 56 { 1 } else { 2 };
+        blocks[used - 1][56..].copy_from_slice(&self.length_bytes.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &blocks[..used]);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+/// Compresses whole blocks into `state`: on the SHA extensions when the
+/// CPU has them, otherwise with the portable [`compress`].
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    if blocks.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if shani::compress_blocks(state, blocks) {
+        return;
+    }
+    for block in blocks {
+        compress(state, block);
+    }
+}
+
+/// The portable FIPS 180-4 compression function.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// The compression function on the x86-64 SHA extensions. This module
+/// holds all of the crate's `unsafe` code.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use std::arch::x86_64::*;
+
+    use super::K;
+
+    /// Compresses `blocks` into `state` and returns `true` if the CPU
+    /// has the SHA extensions; returns `false`, leaving `state`
+    /// untouched, if it does not.
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
+        let detected = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        if detected {
+            // SAFETY: every feature `compress_blocks_ni` enables was
+            // detected on this CPU just above.
+            unsafe { compress_blocks_ni(state, blocks) };
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        detected
+    }
+
+    /// Four rounds' message words: the next schedule quad from the
+    /// previous four (`w[t-16..t-12]` … `w[t-4..t]`).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(partial, w3)
+    }
+
+    /// # Safety
+    ///
+    /// Callable only on a CPU with every feature it enables; calling it
+    /// elsewhere is undefined behaviour.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_blocks_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is 32 bytes, so both 16-byte unaligned loads
+        // are in bounds.
+        let (dcba, hgfe) = unsafe {
+            let p = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+        };
+        // `sha256rnds2` wants the state as {A,B,E,F} and {C,D,G,H}
+        // (lanes named high to low).
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // SAFETY: a block is 64 bytes, so the four 16-byte unaligned
+            // loads at offsets 0, 16, 32 and 48 are in bounds.
+            let mut w = unsafe {
+                let p = block.as_ptr().cast::<__m128i>();
+                [0, 1, 2, 3].map(|i| _mm_shuffle_epi8(_mm_loadu_si128(p.add(i)), bswap))
+            };
+            for quad in 0..16 {
+                // `w` is a ring of the last four quads; slot `quad % 4`
+                // holds quad `quad - 4` until it is overwritten here.
+                if quad >= 4 {
+                    w[quad % 4] = schedule(
+                        w[quad % 4],
+                        w[(quad + 1) % 4],
+                        w[(quad + 2) % 4],
+                        w[(quad + 3) % 4],
+                    );
+                }
+                // SAFETY: `quad < 16`, so `K[4 * quad..4 * quad + 4]` is
+                // in bounds of the 64-entry table.
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * quad).cast()) };
+                let wk = _mm_add_epi32(w[quad % 4], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: as for the loads above, both 16-byte stores are in
+        // bounds of the 32-byte `state`.
+        unsafe {
+            let p = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(p, dcba);
+            _mm_storeu_si128(p.add(1), hgfe);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -189,6 +281,8 @@ impl Sha256 {
 mod tests {
     use super::*;
     use crate::util::to_hex;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn nist_empty() {
@@ -260,6 +354,81 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), d1, "len {len}");
+        }
+    }
+
+    #[test]
+    fn portable_compress_matches_nist_vectors() {
+        // The vectors above run on whichever path this CPU selects; feed
+        // their padded blocks straight to the portable function too.
+        fn portable_digest(msg: &[u8]) -> String {
+            let mut padded = msg.to_vec();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+            let mut state = H0;
+            for block in padded.as_chunks::<64>().0 {
+                compress(&mut state, block);
+            }
+            to_hex(&state.map(u32::to_be_bytes).concat())
+        }
+        assert_eq!(
+            portable_digest(b"abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            portable_digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    #[test]
+    fn selected_compress_matches_portable_on_random_blocks() {
+        // Whichever path this CPU selects (the SHA extensions on an
+        // x86-64 that has them), it must agree with the portable
+        // function state for state, one block or many at once.
+        let mut rng = StdRng::seed_from_u64(42);
+        for n in [1usize, 2, 3, 8] {
+            for _ in 0..64 {
+                let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+                let mut blocks = vec![[0u8; 64]; n];
+                for b in &mut blocks {
+                    rng.fill_bytes(b);
+                }
+                let mut want = state;
+                for b in &blocks {
+                    compress(&mut want, b);
+                }
+                let mut got = state;
+                compress_blocks(&mut got, &blocks);
+                assert_eq!(got, want, "{n} block(s)");
+            }
+        }
+    }
+
+    #[test]
+    fn oneshot_streaming_and_parts_agree_on_random_inputs() {
+        let mut rng = StdRng::seed_from_u64(1234);
+        // 0..=300 covers every padding remainder; 55, 56, 63 and 64 (one
+        // or two final blocks) stay pinned if the range ever shrinks.
+        let lengths = (0..=300usize).chain([55, 56, 63, 64]);
+        for len in lengths {
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut data);
+            let want = Sha256::digest(&data);
+
+            let mut h = Sha256::new();
+            for b in &data {
+                h.update(std::slice::from_ref(b));
+            }
+            assert_eq!(h.finalize(), want, "byte-at-a-time, len {len}");
+
+            let cut = rng.gen_range(0..=len);
+            let cut2 = rng.gen_range(cut..=len);
+            let parts: [&[u8]; 3] = [&data[..cut], &data[cut..cut2], &data[cut2..]];
+            assert_eq!(Sha256::digest_parts(&parts), want, "parts, len {len}");
         }
     }
 }

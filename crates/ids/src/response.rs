@@ -4,8 +4,12 @@
 //! cost class (availability impact), and a containment latency. The
 //! engine picks the cheapest playbook that covers the alert, escalating
 //! on repeated alerts for the same subject.
+//!
+//! The response history is a bounded ring when a cap is set: once
+//! full, each new response evicts the oldest in O(1), so a long-running
+//! service pays the same per alert at any history length.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use autosec_sim::{SimDuration, SimTime};
 
@@ -67,8 +71,8 @@ pub struct Response {
 pub struct ResponseEngine {
     /// Alerts seen per subject.
     strikes: HashMap<u32, u32>,
-    /// History of responses issued.
-    history: Vec<Response>,
+    /// History of responses issued, oldest first.
+    history: VecDeque<Response>,
     /// Maximum retained history entries (`None` = unbounded, the
     /// batch-experiment default).
     history_cap: Option<usize>,
@@ -138,39 +142,48 @@ impl ResponseEngine {
             action,
             contained_at: alert.at + action.latency(),
         };
-        self.history.push(response.clone());
-        if let Some(cap) = self.history_cap {
-            if self.history.len() > cap {
-                let excess = self.history.len() - cap;
-                self.history.drain(..excess);
+        match self.history_cap {
+            Some(0) => {}
+            Some(cap) if self.history.len() >= cap => {
+                self.history.pop_front();
+                self.history.push_back(response.clone());
             }
+            _ => self.history.push_back(response.clone()),
         }
         response
     }
 
-    /// All responses issued.
-    pub fn history(&self) -> &[Response] {
+    /// The retained responses, oldest first.
+    pub fn history(&self) -> &VecDeque<Response> {
         &self.history
     }
 
     /// Mean containment latency (alert → contained) in milliseconds.
+    ///
+    /// `alerts` are the alerts handled, in order. The retained history
+    /// is the newest responses, so it pairs with the tail of `alerts`;
+    /// the mean is over the pairs actually formed.
     pub fn mean_containment_ms(&self, alerts: &[Alert]) -> f64 {
-        if self.history.is_empty() {
+        let pairs = self.history.len().min(alerts.len());
+        if pairs == 0 {
             return 0.0;
         }
         let total: f64 = self
             .history
             .iter()
-            .zip(alerts.iter())
+            .skip(self.history.len() - pairs)
+            .zip(&alerts[alerts.len() - pairs..])
             .map(|(r, a)| r.contained_at.saturating_since(a.at).as_ms_f64())
             .sum();
-        total / self.history.len() as f64
+        total / pairs as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autosec_sim::SimRng;
+    use rand::Rng;
 
     fn alert(detector: &'static str, subject: u32, ms: u64) -> Alert {
         Alert {
@@ -290,5 +303,102 @@ mod tests {
         // A different subject starts fresh.
         let r = e.handle(&alert("frequency", 0x200, 100));
         assert_eq!(r.action, ResponseAction::FilterId);
+    }
+
+    /// A seeded mix of detectors and subjects, with repeat offenders.
+    fn alert_stream(seed: u64, n: usize) -> Vec<Alert> {
+        const DETECTORS: [&str; 5] = [
+            "specification",
+            "frequency",
+            "interval",
+            "fingerprint",
+            "unknown-detector",
+        ];
+        let mut rng = SimRng::seed(seed);
+        (0..n as u64)
+            .map(|i| {
+                let detector = DETECTORS[rng.gen_range(0..DETECTORS.len())];
+                alert(detector, rng.gen_range(0..16), i * 7)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ring_history_matches_push_then_drain_model() {
+        let alerts = alert_stream(42, 6_000);
+        for cap in [Some(0), Some(1), Some(3), Some(4_096), None] {
+            let mut e = cap.map_or_else(ResponseEngine::new, ResponseEngine::with_history_cap);
+            // The retention rule of the original `Vec` history: push,
+            // then drop the oldest excess.
+            let mut model: Vec<Response> = Vec::new();
+            for (i, a) in alerts.iter().enumerate() {
+                // Every tenth alert verifies one subject's repair.
+                if i % 10 == 9 {
+                    e.clear_subject(a.subject);
+                }
+                model.push(e.handle(a));
+                if let Some(cap) = cap {
+                    if model.len() > cap {
+                        let excess = model.len() - cap;
+                        model.drain(..excess);
+                    }
+                }
+                assert!(e.history().iter().eq(model.iter()), "cap {cap:?} alert {i}");
+            }
+            let retained = cap.map_or(alerts.len(), |c| c.min(alerts.len()));
+            assert_eq!(e.history().len(), retained, "cap {cap:?}");
+        }
+    }
+
+    #[test]
+    fn history_cap_never_changes_responses_or_strikes() {
+        let alerts = alert_stream(7, 2_000);
+        let mut reference = ResponseEngine::new();
+        let mut capped: Vec<ResponseEngine> = [0, 1, 3, 4_096]
+            .into_iter()
+            .map(ResponseEngine::with_history_cap)
+            .collect();
+        let mut escalated = false;
+        for a in &alerts {
+            let want = reference.handle(a);
+            escalated |= want.action == ResponseAction::LimpHome;
+            for e in &mut capped {
+                assert_eq!(e.handle(a), want);
+            }
+        }
+        assert!(escalated, "the stream must reach the top of the ladder");
+        for subject in 0..16 {
+            for e in &capped {
+                assert_eq!(e.strikes(subject), reference.strikes(subject));
+            }
+        }
+        assert!(capped[0].history().is_empty(), "cap 0 retains nothing");
+        assert_eq!(capped[0].mean_containment_ms(&alerts), 0.0);
+    }
+
+    #[test]
+    fn capped_mean_pairs_retained_responses_with_the_alert_tail() {
+        let alerts = vec![
+            alert("specification", 1, 10), // FilterId: 5 ms
+            alert("fingerprint", 2, 20),   // IsolateNode: 20 ms
+            alert("interval", 3, 30),      // Rekey: 50 ms
+        ];
+        let mut e = ResponseEngine::with_history_cap(2);
+        for a in &alerts {
+            e.handle(a);
+        }
+        // Only the last two responses are retained: (20 + 50) / 2.
+        let mean = e.mean_containment_ms(&alerts);
+        assert!((mean - 35.0).abs() < 1e-9, "{mean}");
+
+        // Fewer alerts than retained responses: average the pairs that
+        // exist (the newest response with the newest alert).
+        let mut uncapped = ResponseEngine::new();
+        for a in &alerts {
+            uncapped.handle(a);
+        }
+        let mean = uncapped.mean_containment_ms(&alerts[2..]);
+        assert!((mean - 50.0).abs() < 1e-9, "{mean}");
+        assert_eq!(uncapped.mean_containment_ms(&[]), 0.0);
     }
 }
