@@ -327,7 +327,8 @@ pub fn replay_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{AttackEdge, Capability, EdgeSource, ProbPoint};
+    use crate::graph::{AttackEdge, Capability, EdgeSource};
+    use autosec_core::engine::OutcomeStats;
 
     fn edge(
         name: &'static str,
@@ -344,8 +345,8 @@ mod tests {
             layer,
             stride: autosec_sim::Stride::Tampering,
             source: EdgeSource::Scenario(name),
-            undefended: ProbPoint { success, detect },
-            defended: ProbPoint { success, detect },
+            undefended: OutcomeStats { success, detect },
+            defended: OutcomeStats { success, detect },
         }
     }
 

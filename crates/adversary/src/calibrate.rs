@@ -25,8 +25,8 @@
 //! bit-identical for every job count at a fixed seed.
 
 use autosec_core::campaign::DefensePosture;
-use autosec_core::engine::measure_step;
-use autosec_core::scenario::{scenario_registry, ScenarioStep};
+use autosec_core::engine::{measure_step, OutcomeStats};
+use autosec_core::scenario::scenario_registry;
 use autosec_data::killchain::{Attacker, KillChainReport, KillChainStage};
 use autosec_data::service::{DefenseConfig, TelemetryBackend};
 use autosec_runner::par_trials;
@@ -35,7 +35,7 @@ use autosec_sos::cascade::{cascade_trial, with_coupling_scale};
 use autosec_sos::model::SosGraph;
 use autosec_sos::reference::maas_reference;
 
-use crate::graph::{AttackEdge, AttackGraph, Capability, EdgeSource, ProbPoint};
+use crate::graph::{AttackEdge, AttackGraph, Capability, EdgeSource};
 
 /// Coupling multiplier for the defended (decoupled) cascade model —
 /// the §VI-B "decoupling" defense as already used by E10.
@@ -165,27 +165,6 @@ const CASCADE_EDGES: [(&str, Capability, &str, Stride); 5] = [
     ),
 ];
 
-/// Measures one scenario step's success/detection rates under one
-/// posture.
-///
-/// A thin adapter over the shared calibration primitive
-/// [`measure_step`] — the same machinery behind core's
-/// [`StepOutcomeTable`](autosec_core::engine::StepOutcomeTable) — so
-/// attack-graph edges and fleet outcome tables are estimates from the
-/// identical trial scheme.
-pub fn scenario_point(
-    step: &dyn ScenarioStep,
-    posture: &DefensePosture,
-    base: &SimRng,
-    cfg: &CalibrationConfig,
-) -> ProbPoint {
-    let stats = measure_step(step, posture, base, cfg.trials, cfg.jobs);
-    ProbPoint {
-        success: stats.success,
-        detect: stats.detect,
-    }
-}
-
 /// Runs `cfg.trials` full kill chains and distills per-stage
 /// conditional success and detection rates, in [`KillChainStage::ALL`]
 /// order.
@@ -193,7 +172,7 @@ pub fn killchain_points(
     defenses: DefenseConfig,
     base: &SimRng,
     cfg: &CalibrationConfig,
-) -> Vec<ProbPoint> {
+) -> Vec<OutcomeStats> {
     let reports: Vec<KillChainReport> =
         par_trials(cfg.jobs, cfg.trials, base, move |_, mut rng| {
             let backend = TelemetryBackend::build(BACKEND_RECORDS, defenses, &mut rng);
@@ -207,7 +186,7 @@ pub fn killchain_points(
             .iter()
             .filter(|r| r.detected_at == Some(stage))
             .count();
-        points.push(ProbPoint {
+        points.push(OutcomeStats {
             // Conditional on the previous stage: an unreachable stage
             // (the chain always blocks earlier) gets 0.
             success: if prev_reached == 0 {
@@ -228,7 +207,7 @@ pub fn cascade_point(
     entry: &str,
     base: &SimRng,
     cfg: &CalibrationConfig,
-) -> ProbPoint {
+) -> OutcomeStats {
     let id = graph
         .find(entry)
         .unwrap_or_else(|| panic!("cascade entry {entry:?} not in the reference graph"));
@@ -240,7 +219,7 @@ pub fn cascade_point(
         let mask = cascade_trial(graph, id, &mut rng);
         safety.iter().any(|s| mask[s.0])
     });
-    ProbPoint {
+    OutcomeStats {
         success: hits.iter().filter(|&&h| h).count() as f64 / cfg.trials as f64,
         // The cascade model has no detection channel: a SoS pivot is
         // silent (§VI-B's monitoring gap).
@@ -252,8 +231,8 @@ pub fn cascade_point(
 /// turning a defense on is always weakly helpful to the defender. Both
 /// values are Monte-Carlo estimates of quantities where this holds by
 /// construction, so the clamp only ever absorbs estimation noise.
-fn clamp_defended(undefended: ProbPoint, defended: ProbPoint) -> ProbPoint {
-    ProbPoint {
+fn clamp_defended(undefended: OutcomeStats, defended: OutcomeStats) -> OutcomeStats {
+    OutcomeStats {
         success: defended.success.min(undefended.success),
         detect: defended.detect,
     }
@@ -274,17 +253,19 @@ pub fn calibrated_graph(cfg: &CalibrationConfig, base: &SimRng) -> AttackGraph {
     let full = DefensePosture::full();
     for step in scenario_registry() {
         let (from, to) = scenario_topology(step.name());
-        let undefended = scenario_point(
+        let undefended = measure_step(
             step.as_ref(),
             &none,
             &base.fork(&format!("calib/{}/undef", step.name())),
-            cfg,
+            cfg.trials,
+            cfg.jobs,
         );
-        let defended = scenario_point(
+        let defended = measure_step(
             step.as_ref(),
             &full,
             &base.fork(&format!("calib/{}/def", step.name())),
-            cfg,
+            cfg.trials,
+            cfg.jobs,
         );
         g.add_edge(AttackEdge {
             name: step.name(),

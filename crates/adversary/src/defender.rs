@@ -198,7 +198,8 @@ pub fn bottom_up_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{AttackEdge, Capability, EdgeSource, ProbPoint};
+    use crate::graph::{AttackEdge, Capability, EdgeSource};
+    use autosec_core::engine::OutcomeStats;
 
     /// Goal reachable only through the Data layer; defending Data is
     /// the single decisive knob.
@@ -211,11 +212,11 @@ mod tests {
             layer: ArchLayer::Data,
             stride: autosec_sim::Stride::Tampering,
             source: EdgeSource::Scenario("backdoor"),
-            undefended: ProbPoint {
+            undefended: OutcomeStats {
                 success: 0.9,
                 detect: 0.1,
             },
-            defended: ProbPoint {
+            defended: OutcomeStats {
                 success: 0.0,
                 detect: 1.0,
             },

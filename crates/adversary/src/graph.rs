@@ -15,6 +15,7 @@
 //! which the planner's single-pass DP relies on.
 
 use autosec_core::campaign::DefensePosture;
+use autosec_core::engine::OutcomeStats;
 use autosec_data::killchain::KillChainStage;
 use autosec_sim::{ArchLayer, Stride};
 
@@ -207,25 +208,6 @@ pub enum EdgeSource {
     Cascade(&'static str),
 }
 
-/// A success/detection probability pair for one posture side.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbPoint {
-    /// Probability the step grants the target capability.
-    pub success: f64,
-    /// Probability the step raises an alert (independent of success).
-    pub detect: f64,
-}
-
-impl ProbPoint {
-    /// A certain, silent step.
-    pub fn sure() -> Self {
-        Self {
-            success: 1.0,
-            detect: 0.0,
-        }
-    }
-}
-
 /// One attack step: an edge of the graph.
 #[derive(Debug, Clone)]
 pub struct AttackEdge {
@@ -243,16 +225,16 @@ pub struct AttackEdge {
     /// The model the probabilities were measured from.
     pub source: EdgeSource,
     /// Probabilities with `layer`'s defenses off.
-    pub undefended: ProbPoint,
+    pub undefended: OutcomeStats,
     /// Probabilities with `layer`'s defenses on (success clamped to
     /// never exceed the undefended one, so adding defenses is always
     /// weakly helpful).
-    pub defended: ProbPoint,
+    pub defended: OutcomeStats,
 }
 
 impl AttackEdge {
     /// The probability pair in effect under `posture`.
-    pub fn prob(&self, posture: &DefensePosture) -> ProbPoint {
+    pub fn prob(&self, posture: &DefensePosture) -> OutcomeStats {
         if posture.enabled(self.layer) {
             self.defended
         } else {
@@ -367,8 +349,11 @@ mod tests {
             layer: ArchLayer::Physical,
             stride: Stride::Tampering,
             source: EdgeSource::Scenario(name),
-            undefended: ProbPoint::sure(),
-            defended: ProbPoint {
+            undefended: OutcomeStats {
+                success: 1.0,
+                detect: 0.0,
+            },
+            defended: OutcomeStats {
                 success: 0.0,
                 detect: 1.0,
             },

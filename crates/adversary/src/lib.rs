@@ -46,7 +46,5 @@ pub use defender::{
     bottom_up_curve, evaluate, evaluate_with, greedy_frontier, resolve_knobs, Allocation,
     DefenseKnob, EvalPoint,
 };
-pub use graph::{
-    AttackEdge, AttackGraph, Capability, CapabilitySet, EdgeSet, EdgeSource, ProbPoint,
-};
+pub use graph::{AttackEdge, AttackGraph, Capability, CapabilitySet, EdgeSet, EdgeSource};
 pub use planner::{best_path, best_path_weighted, PlannedPath};

@@ -155,7 +155,8 @@ pub fn best_path_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{AttackEdge, EdgeSource, ProbPoint};
+    use crate::graph::{AttackEdge, EdgeSource};
+    use autosec_core::engine::OutcomeStats;
     use autosec_sim::ArchLayer;
 
     fn edge(
@@ -173,8 +174,8 @@ mod tests {
             layer,
             stride: autosec_sim::Stride::Tampering,
             source: EdgeSource::Scenario(name),
-            undefended: ProbPoint { success, detect },
-            defended: ProbPoint {
+            undefended: OutcomeStats { success, detect },
+            defended: OutcomeStats {
                 success: 0.0,
                 detect: 1.0,
             },

@@ -8,11 +8,11 @@
 //! checks, not flaky statistical ones.
 
 use autosec_adversary::calibrate::{
-    calibrated_graph, cascade_point, killchain_points, scenario_point, CalibrationConfig,
-    DECOUPLING_SCALE,
+    calibrated_graph, cascade_point, killchain_points, CalibrationConfig, DECOUPLING_SCALE,
 };
 use autosec_adversary::graph::{AttackGraph, EdgeSource};
 use autosec_core::campaign::DefensePosture;
+use autosec_core::engine::measure_step;
 use autosec_core::scenario::scenario_registry;
 use autosec_data::killchain::KillChainStage;
 use autosec_data::service::DefenseConfig;
@@ -140,17 +140,19 @@ fn calibrated_probabilities_match_fresh_estimates_within_tolerance() {
             let e = g
                 .edge_for(&EdgeSource::Scenario(step.name()))
                 .expect("scenario edge");
-            let est_undef = scenario_point(
+            let est_undef = measure_step(
                 step.as_ref(),
                 &none,
                 &fresh.fork(&format!("{}/undef", step.name())),
-                &cfg(),
+                cfg().trials,
+                cfg().jobs,
             );
-            let est_def = scenario_point(
+            let est_def = measure_step(
                 step.as_ref(),
                 &full,
                 &fresh.fork(&format!("{}/def", step.name())),
-                &cfg(),
+                cfg().trials,
+                cfg().jobs,
             );
             check(
                 e.name,

@@ -9,7 +9,6 @@
 //! bit-deterministic by construction, not by tolerance.
 
 use autosec_adversary::DefenseKnob;
-use autosec_sim::ArchLayer;
 
 /// Cost of toggling one defense knob on (a posture layer or a runtime
 /// knob) — matches the static optimizer's one-dollar-per-knob unit.
@@ -66,14 +65,6 @@ impl DefenseAction {
             DefenseAction::RotateCredential { edge } => format!("rotate:{edge}"),
             DefenseAction::IsolateSubject { edge } => format!("isolate:{edge}"),
             DefenseAction::BoostMonitoring => "monitor".to_owned(),
-        }
-    }
-
-    /// The layer a harden action toggles, if it is a layer knob.
-    pub fn hardened_layer(&self) -> Option<ArchLayer> {
-        match self {
-            DefenseAction::Harden(DefenseKnob::Layer(l)) => Some(*l),
-            _ => None,
         }
     }
 }
@@ -153,6 +144,7 @@ impl DefenseBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autosec_sim::ArchLayer;
 
     #[test]
     fn costs_are_half_dollar_multiples() {

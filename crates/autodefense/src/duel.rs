@@ -276,9 +276,8 @@ pub fn duel_trial(graph: &AttackGraph, cfg: &DuelConfig, rng: &mut SimRng) -> Du
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autosec_adversary::{
-        adaptive_trial, resolve_knobs, AttackEdge, Capability, EdgeSource, ProbPoint,
-    };
+    use autosec_adversary::{adaptive_trial, resolve_knobs, AttackEdge, Capability, EdgeSource};
+    use autosec_core::engine::OutcomeStats;
 
     fn edge(
         name: &'static str,
@@ -295,8 +294,8 @@ mod tests {
             layer,
             stride: autosec_sim::Stride::Tampering,
             source: EdgeSource::Scenario(name),
-            undefended: ProbPoint { success, detect },
-            defended: ProbPoint {
+            undefended: OutcomeStats { success, detect },
+            defended: OutcomeStats {
                 success: 0.0,
                 detect: 1.0,
             },

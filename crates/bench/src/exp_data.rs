@@ -33,7 +33,7 @@ pub fn defense_matrix() -> Vec<(&'static str, DefenseConfig)> {
     out
 }
 
-/// One kill-chain run, used by the bench.
+/// Records exfiltrated by one kill-chain run against a fresh backend.
 pub fn killchain_run(fleet: usize, defenses: DefenseConfig, seed: u64) -> usize {
     let mut rng = SimRng::seed(seed);
     let backend = TelemetryBackend::build(fleet, defenses, &mut rng);

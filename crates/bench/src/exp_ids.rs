@@ -89,7 +89,7 @@ pub fn e13_synergy_table(ctx: &RunCtx) -> Table {
     t
 }
 
-/// Campaign run used by the Criterion bench.
+/// Attacks detected in one campaign run, undefended or fully defended.
 pub fn campaign_run(full: bool, seed: u64) -> usize {
     let posture = if full {
         DefensePosture::full()

@@ -124,7 +124,7 @@ pub fn e3_masquerade_table() -> Table {
     t
 }
 
-/// Raw bus-throughput numbers used by the Criterion bench.
+/// Frames delivered when two nodes saturate a 500 kbit/s CAN bus.
 pub fn bus_saturation_run(frames: usize) -> usize {
     let mut bus = CanBus::new(500_000);
     let a = bus.add_node(1.0);

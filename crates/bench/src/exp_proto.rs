@@ -143,7 +143,7 @@ pub fn e567_scenario_table() -> Table {
     t
 }
 
-/// Protocol throughput helpers for the Criterion benches.
+/// MACsec protect + verify round trip; returns the recovered length.
 pub fn macsec_round_trip(payload: &[u8]) -> usize {
     let mut tx = MacsecTx::new([9; 16], 1, MacsecMode::AuthenticatedEncryption);
     let mut rx = MacsecRx::new([9; 16], 1);
@@ -151,7 +151,7 @@ pub fn macsec_round_trip(payload: &[u8]) -> usize {
     rx.verify(&f).expect("authentic").len()
 }
 
-/// CANsec round trip for the benches.
+/// CANsec round trip (see [`macsec_round_trip`]).
 pub fn cansec_round_trip(payload: &[u8]) -> usize {
     let mut tx = CansecTx::new([9; 16], 1, true);
     let mut rx = CansecRx::new([9; 16], 1);
@@ -159,7 +159,7 @@ pub fn cansec_round_trip(payload: &[u8]) -> usize {
     rx.verify(&f).expect("authentic").len()
 }
 
-/// SECOC round trip for the benches.
+/// SECOC round trip (see [`macsec_round_trip`]).
 pub fn secoc_round_trip(payload: &[u8]) -> usize {
     let cfg = SecOcConfig::default();
     let mut tx = SecOcAuthenticator::new_sender(cfg, [9; 16], 1);

@@ -64,17 +64,6 @@ impl LamportKeyPair {
         }
     }
 
-    /// Public key as the hash of all 512 public hashes (compact form for
-    /// comparison and storage).
-    pub fn public_key_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        for pair in self.pk.iter() {
-            h.update(&pair[0]);
-            h.update(&pair[1]);
-        }
-        h.finalize()
-    }
-
     /// Signs `message` (hashed internally). One-time: a second call fails.
     ///
     /// # Errors

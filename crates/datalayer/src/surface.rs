@@ -3,7 +3,7 @@
 //!
 //! A deliberately simple, auditable metric: every externally reachable
 //! interface contributes risk weighted by exposure and authentication;
-//! the score is the sum. The E9/E10 benches use it to show how surface
+//! the score is the sum. The E9/E10 experiments use it to show how surface
 //! grows with connected services — and how feature removal shrinks it.
 
 /// How reachable an interface is.

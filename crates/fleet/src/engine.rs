@@ -54,9 +54,9 @@
 use std::time::{Duration, Instant};
 
 use autosec_adversary::graph::CapabilitySet;
-use autosec_adversary::{calibrated_graph, AttackGraph, CalibrationConfig, EdgeSource, ProbPoint};
+use autosec_adversary::{calibrated_graph, AttackGraph, CalibrationConfig, EdgeSource};
 use autosec_core::campaign::DefensePosture;
-use autosec_core::engine::{LiveScenarioEngine, ScenarioEngine, StepOutcomeTable};
+use autosec_core::engine::{LiveScenarioEngine, OutcomeStats, ScenarioEngine, StepOutcomeTable};
 use autosec_core::scenario::PostureCtx;
 use autosec_faults::{detector_for, target_for, FaultPlan};
 use autosec_ids::response::{ResponseAction, ResponseEngine};
@@ -478,7 +478,7 @@ struct StepEnv<'a> {
     /// defender hardened layers).
     posture: DefensePosture,
     /// Calibrated V2X infection edge under the tick posture.
-    epi: ProbPoint,
+    epi: OutcomeStats,
     /// Per-tick probability a silent compromise is flagged after the
     /// fact (grows with defense depth and bought monitoring).
     late_detect_p: f64,
@@ -674,10 +674,9 @@ fn step_vehicle(
 }
 
 /// The live-fleet engine. Construct with [`FleetEngine::new`] (which
-/// calibrates its own attack graph and outcome table),
-/// [`FleetEngine::with_graph`] (sharing a pre-calibrated graph) or
-/// [`FleetEngine::with_parts`] (sharing a pre-calibrated table too),
-/// then [`FleetEngine::run`].
+/// calibrates its own attack graph and outcome table) or
+/// [`FleetEngine::with_parts`] (sharing a pre-calibrated graph and,
+/// optionally, table), then [`FleetEngine::run`].
 ///
 /// The engine is `Clone`, and cloning is cheap relative to
 /// construction: the columnar state copies dense arrays, while
@@ -714,18 +713,6 @@ impl FleetEngine {
     pub fn new(cfg: FleetConfig) -> Self {
         let calib = CalibrationConfig::new(cfg.calibration_trials, cfg.shards);
         let graph = calibrated_graph(&calib, &SimRng::seed(cfg.seed).fork("fleet/calibration"));
-        Self::with_graph(cfg, graph)
-    }
-
-    /// Builds the engine around a pre-calibrated graph (the graph
-    /// carries both posture sides, so one calibration serves every
-    /// posture in a sweep). The outcome table, if the fidelity needs
-    /// one, is calibrated here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vehicles` or `ticks` is zero.
-    pub fn with_graph(cfg: FleetConfig, graph: AttackGraph) -> Self {
         Self::with_parts(cfg, graph, None)
     }
 
@@ -1000,13 +987,13 @@ impl FleetEngine {
 /// defense depth), and the Fig. 8 kill chain folded to one
 /// breach/detect pair. Op-for-op identical to the pre-defender
 /// computation, so defenderless runs are unchanged bit for bit.
-fn derived_rates(graph: &AttackGraph, posture: &DefensePosture) -> (ProbPoint, f64, f64, f64) {
+fn derived_rates(graph: &AttackGraph, posture: &DefensePosture) -> (OutcomeStats, f64, f64, f64) {
     let epi = graph
         .edge_for(&EdgeSource::Scenario("v2x-ghost-object"))
         .expect("calibrated graph carries the V2X edge")
         .prob(posture);
     let late_detect_p = 0.05 + 0.03 * posture.enabled_count() as f64;
-    let kc: Vec<ProbPoint> = graph
+    let kc: Vec<OutcomeStats> = graph
         .edges()
         .iter()
         .filter(|e| matches!(e.source, EdgeSource::KillChain(_)))
@@ -1143,7 +1130,8 @@ impl FleetReport {
         self.config.vehicles as u64 * self.config.ticks
     }
 
-    /// Vehicle-ticks per wall-clock second (the BENCH_fleet metric).
+    /// Vehicle-ticks per wall-clock second of the tick loop (what
+    /// perfbench's fleet workloads report as `run_vtps`).
     pub fn throughput(&self) -> f64 {
         self.vehicle_ticks() as f64 / self.wall.as_secs_f64().max(1e-9)
     }
@@ -1352,6 +1340,6 @@ mod tests {
     fn zero_vehicles_is_rejected() {
         let mut cfg = tiny_cfg();
         cfg.vehicles = 0;
-        let _ = FleetEngine::with_graph(cfg, AttackGraph::new());
+        let _ = FleetEngine::with_parts(cfg, AttackGraph::new(), None);
     }
 }

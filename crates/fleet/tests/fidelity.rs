@@ -37,7 +37,7 @@ fn mixed_probe_period_never_changes_snapshots() {
     let run = |fidelity: Fidelity| {
         let mut c = cfg.clone();
         c.fidelity = fidelity;
-        FleetEngine::with_graph(c, graph.clone()).run()
+        FleetEngine::with_parts(c, graph.clone(), None).run()
     };
 
     let calibrated = run(Fidelity::Calibrated);
@@ -77,7 +77,7 @@ fn every_fidelity_mode_is_shard_invariant() {
             let mut c = cfg.clone();
             c.fidelity = fidelity;
             c.shards = shards;
-            FleetEngine::with_graph(c, graph.clone()).run()
+            FleetEngine::with_parts(c, graph.clone(), None).run()
         };
         let a = run(1);
         let b = run(4);
@@ -106,7 +106,7 @@ fn calibrated_and_live_tell_the_same_story() {
     let run = |fidelity: Fidelity| {
         let mut c = cfg.clone();
         c.fidelity = fidelity;
-        FleetEngine::with_graph(c, graph.clone()).run()
+        FleetEngine::with_parts(c, graph.clone(), None).run()
     };
     let live = run(Fidelity::Live);
     let calibrated = run(Fidelity::Calibrated);

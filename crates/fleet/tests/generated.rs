@@ -43,7 +43,7 @@ fn generated_campaigns_are_shard_invariant() {
     let run = |shards: usize| {
         let mut c = cfg.clone();
         c.shards = shards;
-        FleetEngine::with_graph(c, graph.clone()).run()
+        FleetEngine::with_parts(c, graph.clone(), None).run()
     };
     let a = run(1);
     let b = run(2);
@@ -73,7 +73,7 @@ fn generated_campaigns_ignore_the_fidelity_knob() {
     let run = |fidelity: Fidelity| {
         let mut c = cfg.clone();
         c.fidelity = fidelity;
-        FleetEngine::with_graph(c, graph.clone()).run()
+        FleetEngine::with_parts(c, graph.clone(), None).run()
     };
     let calibrated = run(Fidelity::Calibrated);
     let live = run(Fidelity::Live);
@@ -103,7 +103,7 @@ fn generated_campaigns_compose_with_the_closed_loop_defender() {
     let run = |shards: usize| {
         let mut c = cfg.clone();
         c.shards = shards;
-        FleetEngine::with_graph(c, graph.clone()).run()
+        FleetEngine::with_parts(c, graph.clone(), None).run()
     };
     let a = run(1);
     let b = run(4);
@@ -123,7 +123,7 @@ fn pool_size_changes_the_trajectory() {
     let run = |count: usize| {
         let mut c = cfg.clone();
         c.campaign = CampaignMode::Generated { count };
-        FleetEngine::with_graph(c, graph.clone()).run()
+        FleetEngine::with_parts(c, graph.clone(), None).run()
     };
     let small = run(2);
     let large = run(16);
@@ -138,5 +138,5 @@ fn pool_size_changes_the_trajectory() {
 fn empty_graph_cannot_seed_a_pool() {
     let mut cfg = base_cfg();
     cfg.campaign = CampaignMode::Generated { count: 4 };
-    let _ = FleetEngine::with_graph(cfg, AttackGraph::new());
+    let _ = FleetEngine::with_parts(cfg, AttackGraph::new(), None);
 }

@@ -4,7 +4,7 @@
 //! behalf of nodes; [`CanBus::run`] replays the bus schedule — whenever
 //! the bus goes idle, the pending frame with the lowest arbitration key
 //! wins — and produces a [`BusEvent`] log with per-frame latencies that
-//! the IDS layer (`autosec-ids`) and the scenario benches consume.
+//! the IDS layer (`autosec-ids`) and the scenario experiments consume.
 
 use std::collections::VecDeque;
 

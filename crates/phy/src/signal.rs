@@ -37,11 +37,6 @@ impl Waveform {
         }
     }
 
-    /// Builds from raw samples.
-    pub fn from_samples(samples: Vec<f64>) -> Self {
-        Self { samples }
-    }
-
     /// Sample buffer.
     pub fn samples(&self) -> &[f64] {
         &self.samples

@@ -57,8 +57,8 @@ pub mod table;
 
 pub use artifact::DEFAULT_ARTIFACT_DIR;
 pub use artifact::{
-    normalize_filters, strip_durations, strip_volatile, ArtifactStore, ExperimentRecord,
-    ResumeState, RunManifest, RunStatus,
+    normalize_filters, strip_volatile, ArtifactStore, ExperimentRecord, ResumeState, RunManifest,
+    RunStatus,
 };
 pub use ctx::{RunCtx, DEFAULT_SEED};
 pub use par::{panic_message, par_trials, silence_panics, try_par_trials, TrialOutcome};

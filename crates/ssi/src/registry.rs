@@ -3,12 +3,11 @@
 //!
 //! Append-only versioned DID documents plus a list of trust anchors and
 //! recorded endorsements (authority credentials), from which trust paths
-//! are computed. Thread-safe via `parking_lot` so vehicle, cloud, and
-//! charging-station actors can share one registry instance.
+//! are computed. Thread-safe via `std::sync::RwLock` so vehicle, cloud,
+//! and charging-station actors can share one registry instance.
 
 use std::collections::HashMap;
-
-use parking_lot::RwLock;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::credential::VerifiableCredential;
 use crate::did::{Did, DidDocument};
@@ -36,6 +35,17 @@ impl Registry {
         Self::default()
     }
 
+    /// Shared access. A writer that panicked mid-update leaves the
+    /// registry untrustworthy, so a poisoned lock panics here too.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().expect("registry lock poisoned")
+    }
+
+    /// Exclusive access; panics on a poisoned lock like [`Self::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().expect("registry lock poisoned")
+    }
+
     /// Publishes the *initial* DID document.
     ///
     /// # Panics
@@ -44,7 +54,7 @@ impl Registry {
     /// exists — the registry is the trust root and refuses inconsistent
     /// writes. Rotations go through [`Registry::publish_rotation`].
     pub fn publish(&self, doc: DidDocument) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let versions = inner.docs.entry(doc.id.clone()).or_default();
         assert!(
             versions.is_empty(),
@@ -71,7 +81,7 @@ impl Registry {
         doc: DidDocument,
         prev_key_sig: &autosec_crypto::MssSignature,
     ) -> Result<(), SsiError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let versions = inner
             .docs
             .get_mut(&doc.id)
@@ -93,8 +103,7 @@ impl Registry {
     /// Only used by offline-bundle reconstruction, where credentials pin
     /// their signing key version (see `offline.rs` for the argument).
     pub(crate) fn force_publish_version(&self, doc: DidDocument) {
-        self.inner
-            .write()
+        self.write()
             .docs
             .entry(doc.id.clone())
             .or_default()
@@ -107,8 +116,7 @@ impl Registry {
     ///
     /// [`SsiError::UnknownDid`] if never published.
     pub fn resolve(&self, did: &Did) -> Result<DidDocument, SsiError> {
-        self.inner
-            .read()
+        self.read()
             .docs
             .get(did)
             .and_then(|v| v.last().cloned())
@@ -117,22 +125,22 @@ impl Registry {
 
     /// Full version history (the "immutable" property: old versions stay).
     pub fn history(&self, did: &Did) -> Vec<DidDocument> {
-        self.inner.read().docs.get(did).cloned().unwrap_or_default()
+        self.read().docs.get(did).cloned().unwrap_or_default()
     }
 
     /// Registers `did` as a trust anchor.
     pub fn add_trust_anchor(&self, did: Did, label: &str) {
-        self.inner.write().anchors.push((did, label.to_owned()));
+        self.write().anchors.push((did, label.to_owned()));
     }
 
     /// All trust anchors.
     pub fn trust_anchors(&self) -> Vec<(Did, String)> {
-        self.inner.read().anchors.clone()
+        self.read().anchors.clone()
     }
 
     /// Whether `did` is an anchor.
     pub fn is_anchor(&self, did: &Did) -> bool {
-        self.inner.read().anchors.iter().any(|(d, _)| d == did)
+        self.read().anchors.iter().any(|(d, _)| d == did)
     }
 
     /// Records an endorsement edge after verifying the authority
@@ -144,8 +152,7 @@ impl Registry {
     /// valid credentials.
     pub fn record_endorsement(&self, cred: &VerifiableCredential) -> Result<(), SsiError> {
         cred.verify(self)?;
-        self.inner
-            .write()
+        self.write()
             .endorsements
             .insert(cred.subject.clone(), cred.issuer.clone());
         Ok(())
@@ -155,7 +162,7 @@ impl Registry {
     /// issuer (directly, or through recorded endorsements; depth ≤ 8,
     /// cycle-safe).
     pub fn trust_path_ok(&self, cred: &VerifiableCredential) -> bool {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut current = cred.issuer.clone();
         for _ in 0..8 {
             if inner.anchors.iter().any(|(d, _)| *d == current) {
@@ -171,7 +178,7 @@ impl Registry {
 
     /// Number of published DIDs.
     pub fn did_count(&self) -> usize {
-        self.inner.read().docs.len()
+        self.read().docs.len()
     }
 }
 

@@ -5,11 +5,13 @@
 //! substream per case so failures reproduce exactly.
 
 use autosec::crypto::{AesGcm, Cmac, HmacSha256, MerkleTree, Sha256};
+use autosec::fleet::{FleetConfig, FleetEngine};
 use autosec::ivn::can::{CanFrame, CanId};
 use autosec::secproto::canal::{CanalReceiver, CanalSender};
 use autosec::secproto::macsec::{MacsecMode, MacsecRx, MacsecTx};
 use autosec::secproto::secoc::{SecOcAuthenticator, SecOcConfig};
 use autosec::sim::SimRng;
+use autosec::ssi::did::{Did, DidDocument};
 use rand::{Rng, RngCore};
 
 const CASES: u64 = 48;
@@ -209,4 +211,54 @@ fn sha256_streaming_any_split() {
         h.update(&data[s..]);
         assert_eq!(h.finalize(), Sha256::digest(&data));
     }
+}
+
+/// The vendored JSON parser, which reads manifests and worker handoffs
+/// back from disk, returns `Ok` or `Err` — never panics or overflows
+/// the stack — on truncations and single-bit flips of real documents.
+#[test]
+fn json_parser_survives_truncation_and_bitflips() {
+    let fleet = FleetEngine::new(FleetConfig {
+        vehicles: 200,
+        ticks: 10,
+        calibration_trials: 2,
+        ..FleetConfig::default()
+    })
+    .run()
+    .canonical_json()
+    .to_string();
+    let doc = DidDocument {
+        id: Did::from_public_key(&[7u8; 32]),
+        name: "brake-ecu \"zone 2\" – Bremssteuergerät".into(),
+        public_key: [7u8; 32],
+        version: 3,
+        service: Some("revocations".into()),
+    }
+    .to_json()
+    .to_string();
+    let sources = [fleet.as_bytes(), doc.as_bytes()];
+    for src in sources {
+        let text = std::str::from_utf8(src).expect("rendered JSON is UTF-8");
+        assert!(serde_json::from_str(text).is_ok());
+    }
+    let root = SimRng::seed(0x750_F022);
+    let mut parsed = 0;
+    for case in 0..2_000u64 {
+        let mut rng = root.fork_idx(case);
+        let src = sources[(case % 2) as usize];
+        let mut input = src.to_vec();
+        if rng.gen_bool(0.5) {
+            input.truncate(rng.gen_range(0usize..src.len()));
+        } else {
+            let bit = rng.gen_range(0usize..src.len() * 8);
+            input[bit / 8] ^= 1 << (bit % 8);
+        }
+        // `from_str` takes `&str`; a flip that breaks UTF-8 never
+        // reaches the parser.
+        if let Ok(text) = std::str::from_utf8(&input) {
+            let _ = serde_json::from_str(text);
+            parsed += 1;
+        }
+    }
+    assert!(parsed > 1_500, "only {parsed} of 2000 cases were UTF-8");
 }
