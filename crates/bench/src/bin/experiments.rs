@@ -34,28 +34,24 @@
 //! multiplies Monte-Carlo trial counts without touching per-trial
 //! streams.
 //!
-//! Fault tolerance: each experiment runs under `catch_unwind` with a
-//! soft deadline derived from its cost class (`--deadline-secs`
-//! overrides). A panicking or overtime experiment normally aborts the
-//! suite (exit 1, failure recorded in the manifest); with
-//! `--keep-going` it is recorded and the suite continues — healthy
-//! experiments produce bit-identical artifacts to a clean run.
-//! `--resume` re-reads the prior manifest and re-runs only failures
-//! and gaps for the same `(seed, trials-scale, filter set)`.
+//! Fault tolerance: each experiment runs in a supervised child process
+//! (this binary re-invoked with the hidden `--worker-one <slug>` mode)
+//! under a deadline derived from its cost class (`--deadline-secs`
+//! overrides); a deadline SIGKILLs the child for real. A panicking,
+//! overtime or killed experiment normally aborts the suite (exit 1,
+//! failure recorded in the manifest); with `--keep-going` it is
+//! recorded and the suite continues — healthy experiments produce
+//! bit-identical artifacts to a clean run. `--resume` re-reads the
+//! prior manifest and re-runs only failures and gaps for the same
+//! `(seed, trials-scale, filter set)`.
 //!
-//! Process isolation: `--isolate on` executes each entry in a spawned
-//! child process (this binary re-invoked with the hidden
-//! `--worker-one <slug>` mode), so a deadline SIGKILLs the child for
-//! real and per-experiment budgets become enforceable —
-//! `--rss-limit-mb` caps peak resident set, `--cpu-limit-secs` caps
-//! CPU time (default: the cost-derived deadline × jobs). Violations
-//! are recorded as `oom_killed` / `cpu_exceeded` manifest statuses.
-//! `--isolate auto` (the default) switches isolation on exactly when
-//! a budget flag is present. `--retries N` re-runs any failed entry up
-//! to N extra times with exponential backoff jittered from the run's
-//! own seeded substream — the schedule is deterministic and
-//! jobs-invariant. Healthy artifacts are bit-identical between
-//! `--isolate on` and `off`.
+//! Budgets: `--rss-limit-mb` caps a child's peak resident set and
+//! `--cpu-limit-secs` its CPU time (default: the deadline in force ×
+//! jobs). Violations are recorded as `oom_killed` / `cpu_exceeded`
+//! manifest statuses. `--retries N` re-runs any failed entry up to N
+//! extra times with exponential backoff jittered from the run's own
+//! seeded substream — the schedule is deterministic and
+//! jobs-invariant.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -69,8 +65,8 @@ use autosec_core::campaign::DefensePosture;
 use autosec_fleet::{CampaignMode, DefenderMode, Fidelity, FleetConfig, FleetEngine};
 use autosec_runner::{
     apply_worker_rlimits, panic_message, run_suite, silence_panics, worker_failure_path,
-    ExperimentRecord, IsolateMode, Isolation, ResourceBudgets, ResumeState, RunStatus,
-    SuiteOptions, WorkerSpec, DEFAULT_ARTIFACT_DIR,
+    ExperimentRecord, Isolation, ResourceBudgets, ResumeState, RunStatus, SuiteOptions, WorkerSpec,
+    DEFAULT_ARTIFACT_DIR,
 };
 use autosec_scengen::{evaluate_campaign, generate, CoverageMatrix, GenConfig};
 use autosec_sim::{ArchLayer, SimRng, Stride};
@@ -90,7 +86,6 @@ struct SuiteArgs {
     deadline_secs: Option<u64>,
     resume: bool,
     out: String,
-    isolate: IsolateMode,
     retries: u32,
     rss_limit_mb: Option<u64>,
     cpu_limit_secs: Option<u64>,
@@ -102,7 +97,7 @@ struct SuiteArgs {
 
 fn usage() {
     eprintln!(
-        "usage: experiments [FILTER...] [--filter F] [--seed N] [--jobs N] [--trials-scale F] [--json] [--canonical] [--keep-going] [--retries N] [--deadline-secs N] [--isolate on|off|auto] [--rss-limit-mb N] [--cpu-limit-secs N] [--resume] [--out DIR] [--list]
+        "usage: experiments [FILTER...] [--filter F] [--seed N] [--jobs N] [--trials-scale F] [--json] [--canonical] [--keep-going] [--retries N] [--deadline-secs N] [--rss-limit-mb N] [--cpu-limit-secs N] [--resume] [--out DIR] [--list]
        experiments fleet [...]   (live-fleet service mode; see `fleet --help`)
        experiments generate [...] (generative scenario composer; see `generate --help`)
 
@@ -126,26 +121,21 @@ fn usage() {
                 interrupted run stays resumable)
   --canonical   strip volatile keys (durations, jobs) from artifacts so
                 runs with different --jobs diff byte-identical
-  --keep-going  record a panicking or overtime experiment in the
-                manifest and continue instead of aborting (exit 1 if
-                anything failed)
+  --keep-going  record a panicking, overtime or killed experiment in
+                the manifest and continue instead of aborting (exit 1
+                if anything failed)
   --deadline-secs N
-                soft per-experiment deadline replacing the cost-derived
-                defaults (cheap 30s / moderate 120s / heavy 600s)
-  --isolate on|off|auto
-                on: run each experiment in a supervised child process —
-                a deadline SIGKILLs it for real and resource budgets are
-                enforced. off: in-process threads (overtime workers are
-                detached, flagged overtime_detached in the manifest).
-                auto (default): on iff a budget flag is given
+                per-experiment deadline replacing the cost-derived
+                defaults (cheap 30s / moderate 120s / heavy 600s); each
+                experiment runs in a supervised child process, which
+                the deadline kills for real
   --rss-limit-mb N
                 kill a worker child whose peak resident set crosses N
-                MiB (manifest status oom_killed); implies isolation
-                under --isolate auto
+                MiB (manifest status oom_killed)
   --cpu-limit-secs N
                 kill a worker child whose CPU time crosses N seconds
-                (manifest status cpu_exceeded); default under
-                --isolate on: the cost-derived deadline x --jobs
+                (manifest status cpu_exceeded); default: the deadline
+                in force x --jobs
   --retries N   re-run a failed/timed-out/killed experiment up to N
                 extra times, with exponential backoff jittered from the
                 run's seeded substream (deterministic, jobs-invariant);
@@ -238,10 +228,6 @@ fn parse_suite(raw: &[String]) -> Result<SuiteArgs, String> {
                     })?;
             }
             "--deadline-secs" | "-d" => args.deadline_secs = Some(cur.positive("--deadline-secs")?),
-            "--isolate" => {
-                args.isolate =
-                    cur.mapped("--isolate", "expected on, off or auto", IsolateMode::parse)?;
-            }
             "--retries" => args.retries = cur.mapped("--retries", UNSIGNED, |v| v.parse().ok())?,
             "--rss-limit-mb" => args.rss_limit_mb = Some(cur.positive("--rss-limit-mb")?),
             "--cpu-limit-secs" => args.cpu_limit_secs = Some(cur.positive("--cpu-limit-secs")?),
@@ -893,46 +879,31 @@ fn suite_main(args: SuiteArgs) -> ExitCode {
         }
     }
 
-    // Isolation: auto resolves to child processes exactly when a
-    // budget was requested (budgets are unenforceable in-process).
-    let budgets = ResourceBudgets {
-        rss_limit_mb: args.rss_limit_mb,
-        cpu_limit_secs: args.cpu_limit_secs,
-    };
-    let isolate_on = match args.isolate {
-        IsolateMode::On => true,
-        IsolateMode::Off => false,
-        IsolateMode::Auto => budgets.any(),
+    let exe = match std::env::current_exe() {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("cannot locate own binary to spawn worker children: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let handoff_root = Path::new(&args.out).join(".workers");
-    let isolation = if isolate_on {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("--isolate on: cannot locate own binary: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        Some(Isolation {
-            spec: WorkerSpec {
-                exe,
-                base_args: vec![
-                    "--seed".into(),
-                    ctx.seed.to_string(),
-                    "--jobs".into(),
-                    ctx.jobs.to_string(),
-                    "--trials-scale".into(),
-                    ctx.trials_scale.to_string(),
-                ],
-            },
-            budgets,
-            handoff_root: handoff_root.clone(),
-        })
-    } else {
-        if budgets.any() {
-            eprintln!("note: resource budgets need a child process; ignored under --isolate off");
-        }
-        None
+    let isolation = Isolation {
+        spec: WorkerSpec {
+            exe,
+            base_args: vec![
+                "--seed".into(),
+                ctx.seed.to_string(),
+                "--jobs".into(),
+                ctx.jobs.to_string(),
+                "--trials-scale".into(),
+                ctx.trials_scale.to_string(),
+            ],
+        },
+        budgets: ResourceBudgets {
+            rss_limit_mb: args.rss_limit_mb,
+            cpu_limit_secs: args.cpu_limit_secs,
+        },
+        handoff_root: handoff_root.clone(),
     };
 
     let opts = SuiteOptions {
@@ -976,17 +947,12 @@ fn suite_main(args: SuiteArgs) -> ExitCode {
                     record.duration.as_secs_f64() * 1e3
                 );
             }
-            RunStatus::TimedOut { deadline, detached } => {
+            RunStatus::TimedOut { deadline } => {
                 eprintln!(
-                    "TIMED OUT {} after {:.1} s (deadline {} s); {}",
+                    "TIMED OUT {} after {:.1} s (deadline {} s); worker killed",
                     record.slug,
                     record.duration.as_secs_f64(),
-                    deadline.as_secs(),
-                    if *detached {
-                        "worker detached (still running — use --isolate on for real kills)"
-                    } else {
-                        "worker killed"
-                    }
+                    deadline.as_secs()
                 );
             }
             RunStatus::OomKilled {
@@ -1026,8 +992,7 @@ fn suite_main(args: SuiteArgs) -> ExitCode {
     });
 
     // The per-slug handoff dirs are removed as each verdict lands;
-    // dropping the (now empty) root keeps isolate-on artifact trees
-    // diffable against isolate-off ones.
+    // dropping the (now empty) root leaves only artifacts behind.
     let _ = std::fs::remove_dir(&handoff_root);
 
     if let Some(store) = &store {
@@ -1093,7 +1058,7 @@ mod tests {
     #[test]
     fn suite_rejections_name_their_flag() {
         let cases = "--seed abc, --filter, --bogus, --trials-scale 0, --trials-scale NaN, \
-            --trials-scale inf, --isolate maybe, --rss-limit-mb 0, --cpu-limit-secs 0, --jobs -1, \
+            --trials-scale inf, --rss-limit-mb 0, --cpu-limit-secs 0, --jobs -1, \
             --retries x";
         for case in cases.split(", ") {
             let args: Vec<&str> = case.split(' ').collect();
@@ -1116,10 +1081,7 @@ mod tests {
             (autosec_runner::DEFAULT_SEED, 1, 1.0)
         );
         assert!(a.filters.is_empty() && !a.json && a.deadline_secs.is_none());
-        assert_eq!(
-            (a.isolate, a.out.as_str()),
-            (IsolateMode::Auto, DEFAULT_ARTIFACT_DIR)
-        );
+        assert_eq!(a.out, DEFAULT_ARTIFACT_DIR);
         let a = suite(&["--jobs", "0"]).unwrap();
         assert_eq!(a.jobs, 0);
         assert_eq!(RunCtx::new(a.seed, a.jobs).jobs, 1, "clamped by RunCtx");
@@ -1127,8 +1089,7 @@ mod tests {
         assert_eq!(a.filters, ["E10", "e2-lrp-rounds", "tag:fleet", "E1"]);
         let a = suite(&["--resume"]).unwrap();
         assert!(a.resume && a.json);
-        let a = suite(&["--isolate", "on", "--rss-limit-mb", "64", "-t", "0.1"]).unwrap();
-        assert_eq!(a.isolate, IsolateMode::On);
+        let a = suite(&["--rss-limit-mb", "64", "-t", "0.1"]).unwrap();
         assert_eq!((a.rss_limit_mb, a.trials_scale), (Some(64), 0.1));
     }
 
@@ -1138,7 +1099,7 @@ mod tests {
     #[test]
     fn grammars_never_panic_and_name_the_culprit() {
         const FLAGS: &str = "--filter -f --seed -s --jobs -j --trials-scale -t --deadline-secs -d \
-            --isolate --retries --rss-limit-mb --cpu-limit-secs --json --canonical --keep-going \
+            --retries --rss-limit-mb --cpu-limit-secs --json --canonical --keep-going \
             --resume --list --out -o --help --vehicles -n --ticks --shards --snapshot-every \
             --attack-rate --posture --fidelity --campaign --defender --defender-budget \
             --no-faults --count -c --max-len --trials --layer --stride-class";

@@ -33,15 +33,6 @@ pub fn defense_matrix() -> Vec<(&'static str, DefenseConfig)> {
     out
 }
 
-/// Records exfiltrated by one kill-chain run against a fresh backend.
-pub fn killchain_run(fleet: usize, defenses: DefenseConfig, seed: u64) -> usize {
-    let mut rng = SimRng::seed(seed);
-    let backend = TelemetryBackend::build(fleet, defenses, &mut rng);
-    Attacker::new()
-        .execute(&backend, &mut rng)
-        .records_exfiltrated
-}
-
 /// E9 main table.
 ///
 /// Each defense configuration replays the same pinned-seed kill chain
@@ -140,8 +131,15 @@ mod tests {
     }
 
     #[test]
-    fn killchain_run_scales_with_fleet() {
-        assert_eq!(killchain_run(100, DefenseConfig::none(), 1), 100);
-        assert_eq!(killchain_run(100, DefenseConfig::hardened(), 1), 0);
+    fn killchain_exfiltrates_the_whole_fleet_only_when_undefended() {
+        let exfiltrated = |defenses| {
+            let mut rng = SimRng::seed(1);
+            let backend = TelemetryBackend::build(100, defenses, &mut rng);
+            Attacker::new()
+                .execute(&backend, &mut rng)
+                .records_exfiltrated
+        };
+        assert_eq!(exfiltrated(DefenseConfig::none()), 100);
+        assert_eq!(exfiltrated(DefenseConfig::hardened()), 0);
     }
 }

@@ -89,16 +89,6 @@ pub fn e13_synergy_table(ctx: &RunCtx) -> Table {
     t
 }
 
-/// Attacks detected in one campaign run, undefended or fully defended.
-pub fn campaign_run(full: bool, seed: u64) -> usize {
-    let posture = if full {
-        DefensePosture::full()
-    } else {
-        DefensePosture::none()
-    };
-    run_campaign(&posture, seed).detected_attacks()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +139,8 @@ mod tests {
     }
 
     #[test]
-    fn campaign_run_full_detects_more() {
-        assert!(campaign_run(true, 3) > campaign_run(false, 3));
+    fn full_posture_detects_more_campaign_attacks() {
+        let detected = |posture| run_campaign(&posture, 3).detected_attacks();
+        assert!(detected(DefensePosture::full()) > detected(DefensePosture::none()));
     }
 }

@@ -3,7 +3,6 @@
 
 use autosec_ivn::attacks::MasqueradeAttack;
 use autosec_ivn::bus::CanBus;
-use autosec_ivn::can::{CanFrame, CanId};
 use autosec_ivn::topology::{EndpointLink, TrafficSpec, ZonalNetwork};
 use autosec_runner::{par_trials, RunCtx};
 use autosec_sim::{SimDuration, SimTime};
@@ -124,26 +123,10 @@ pub fn e3_masquerade_table() -> Table {
     t
 }
 
-/// Frames delivered when two nodes saturate a 500 kbit/s CAN bus.
-pub fn bus_saturation_run(frames: usize) -> usize {
-    let mut bus = CanBus::new(500_000);
-    let a = bus.add_node(1.0);
-    let b = bus.add_node(2.0);
-    for i in 0..frames {
-        let node = if i % 2 == 0 { a } else { b };
-        let id = CanId::standard((0x100 + (i % 64) as u16).min(0x7FF)).expect("valid id");
-        bus.enqueue(
-            node,
-            SimTime::ZERO,
-            CanFrame::new(id, &[0xA5; 8]).expect("8 bytes"),
-        )
-        .expect("node exists");
-    }
-    bus.run(SimTime::from_secs(60)).len()
-}
-
 #[cfg(test)]
 mod tests {
+    use autosec_ivn::can::{CanFrame, CanId};
+
     use super::*;
 
     #[test]
@@ -170,7 +153,18 @@ mod tests {
 
     #[test]
     fn bus_saturation_delivers_everything() {
-        assert_eq!(bus_saturation_run(100), 100);
+        // Two nodes saturate a 500 kbit/s bus with 100 frames.
+        let mut bus = CanBus::new(500_000);
+        let a = bus.add_node(1.0);
+        let b = bus.add_node(2.0);
+        for i in 0..100u16 {
+            let node = if i % 2 == 0 { a } else { b };
+            let id = CanId::standard(0x100 + i % 64).expect("valid id");
+            let frame = CanFrame::new(id, &[0xA5; 8]).expect("8 bytes");
+            bus.enqueue(node, SimTime::ZERO, frame)
+                .expect("node exists");
+        }
+        assert_eq!(bus.run(SimTime::from_secs(60)).len(), 100);
     }
 
     #[test]

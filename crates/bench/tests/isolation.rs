@@ -1,10 +1,11 @@
-//! End-to-end process isolation of the `experiments` binary: under
-//! `--isolate on` a deadline SIGKILLs the worker child for real (with
-//! bounded suite wall time), resource budgets land `oom_killed` /
-//! `cpu_exceeded` manifest statuses, healthy artifacts stay
-//! bit-identical between isolate on and off, `--retries` drives a
-//! flaky probe back to green, and a suite killed mid-child leaves a
-//! parseable incremental manifest that `--resume` finishes.
+//! End-to-end process isolation of the `experiments` binary, which runs
+//! every suite entry in a supervised worker child: a deadline SIGKILLs
+//! the child for real (with bounded suite wall time), resource budgets
+//! land `oom_killed` / `cpu_exceeded` manifest statuses, healthy
+//! artifacts are byte-identical to in-process `Experiment::run`
+//! records, `--retries` drives a flaky probe back to green, and a
+//! suite killed mid-child leaves a parseable incremental manifest that
+//! `--resume` finishes.
 //!
 //! The workload is the hidden `x0-chaos` probe (registered only when
 //! `AUTOSEC_CHAOS` is set — env vars are passed per child process, so
@@ -14,6 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use autosec_bench::{registry, ArtifactStore, ExperimentRecord, RunCtx, RunManifest};
 use serde_json::Value;
 
 fn bin() -> &'static str {
@@ -26,7 +28,7 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs the chaos probe alone, isolated, against `out`.
+/// Runs the chaos probe alone against `out`.
 fn run_chaos(mode: &str, out: &Path, extra: &[&str]) -> Output {
     Command::new(bin())
         .env("AUTOSEC_CHAOS", mode)
@@ -55,13 +57,8 @@ fn entry<'a>(m: &'a Value, slug: &str) -> &'a Value {
 fn isolated_deadline_kills_the_sleeper_with_bounded_wall_time() {
     let out = tmp("deadline");
     let start = Instant::now();
-    // A 30 s sleeper under a 1 s deadline: in-process this worker would
-    // detach and run to completion; isolated it dies by SIGKILL.
-    let slow = run_chaos(
-        "sleep:30000",
-        &out,
-        &["--isolate", "on", "--deadline-secs", "1"],
-    );
+    // A 30 s sleeper under a 1 s deadline dies by SIGKILL.
+    let slow = run_chaos("sleep:30000", &out, &["--deadline-secs", "1"]);
     let wall = start.elapsed();
     assert_eq!(slow.status.code(), Some(1));
     assert!(
@@ -72,10 +69,6 @@ fn isolated_deadline_kills_the_sleeper_with_bounded_wall_time() {
     let e = entry(&m, "x0-chaos");
     assert_eq!(e["status"].as_str(), Some("timed_out"));
     assert_eq!(e["deadline_secs"].as_f64(), Some(1.0));
-    assert!(
-        e.get("overtime_detached").is_none(),
-        "an isolated kill leaves nothing running: {e}"
-    );
     // True elapsed time, not the 30 s the sleeper wanted.
     let secs = e["duration_ms"].as_f64().expect("duration recorded") / 1e3;
     assert!(secs < 15.0, "recorded {secs} s for a 1 s deadline");
@@ -86,8 +79,7 @@ fn isolated_deadline_kills_the_sleeper_with_bounded_wall_time() {
 #[test]
 fn rss_budget_lands_oom_killed() {
     let out = tmp("oom");
-    // The leaker wants 300 MiB; the budget is 64. --isolate auto must
-    // switch isolation on because a budget flag is present.
+    // The leaker wants 300 MiB; the budget is 64.
     let killed = run_chaos("alloc:300", &out, &["--rss-limit-mb", "64"]);
     assert_eq!(killed.status.code(), Some(1));
     let m = manifest(&out);
@@ -124,32 +116,44 @@ fn cpu_budget_lands_cpu_exceeded() {
 }
 
 #[test]
-fn healthy_artifacts_are_bit_identical_between_isolate_on_and_off() {
-    let isolated = tmp("identity-on");
-    let inprocess = tmp("identity-off");
-    for (out, mode) in [(&isolated, "on"), (&inprocess, "off")] {
-        let run = Command::new(bin())
-            .args([
-                "--filter",
-                "e3-technologies",
-                "--filter",
-                "e4-protocol-matrix",
-                "--json",
-                "--canonical",
-                "--isolate",
-                mode,
-                "--out",
-            ])
-            .arg(out)
-            .output()
-            .expect("binary runs");
-        assert_eq!(run.status.code(), Some(0), "isolate {mode} failed");
-    }
-    // No handoff residue may survive a clean isolated run...
-    assert!(!isolated.join(".workers").exists(), "handoff dir leaked");
-    // ...and the whole canonical artifact tree must diff clean,
-    // manifest included.
-    let mut names: Vec<String> = std::fs::read_dir(&isolated)
+fn suite_artifacts_match_in_process_records() {
+    const SLUGS: [&str; 2] = ["e3-technologies", "e4-protocol-matrix"];
+    let suite = tmp("identity-suite");
+    let inprocess = tmp("identity-inprocess");
+    let run = Command::new(bin())
+        .args(["--filter", SLUGS[0], "--filter", SLUGS[1]])
+        .args(["--json", "--canonical", "--out"])
+        .arg(&suite)
+        .output()
+        .expect("binary runs");
+    assert_eq!(run.status.code(), Some(0), "suite failed");
+    // No handoff residue may survive a clean run.
+    assert!(!suite.join(".workers").exists(), "handoff dir leaked");
+
+    // The same experiments run in this process, written through the
+    // same canonical store.
+    let ctx = RunCtx::default();
+    let store = ArtifactStore::create(&inprocess)
+        .expect("create dir")
+        .canonical();
+    let records = registry()
+        .select_many(&SLUGS)
+        .iter()
+        .map(|exp| ExperimentRecord::ok(exp.slug, exp.id, Duration::ZERO, exp.run(&ctx)))
+        .collect();
+    store
+        .write_run(&RunManifest {
+            seed: ctx.seed,
+            jobs: ctx.jobs,
+            trials_scale: ctx.trials_scale,
+            filter: Some(SLUGS.join(",")),
+            records,
+        })
+        .expect("write");
+
+    // The whole canonical artifact tree must diff clean, manifest
+    // included.
+    let mut names: Vec<String> = std::fs::read_dir(&suite)
         .expect("dir")
         .map(|f| f.expect("entry").file_name().into_string().expect("utf8"))
         .collect();
@@ -164,12 +168,12 @@ fn healthy_artifacts_are_bit_identical_between_isolate_on_and_off() {
         "unexpected artifact set"
     );
     for name in names {
-        let a = std::fs::read(isolated.join(&name)).expect("isolated artifact");
+        let a = std::fs::read(suite.join(&name)).expect("suite artifact");
         let b = std::fs::read(inprocess.join(&name)).expect("in-process artifact");
-        assert_eq!(a, b, "{name} differs between isolate on and off");
+        assert_eq!(a, b, "{name} differs between the suite and Experiment::run");
     }
 
-    let _ = std::fs::remove_dir_all(&isolated);
+    let _ = std::fs::remove_dir_all(&suite);
     let _ = std::fs::remove_dir_all(&inprocess);
 }
 
@@ -183,7 +187,7 @@ fn retries_drive_a_flaky_probe_back_to_green() {
     let run = run_chaos(
         &format!("flaky:{}", marker.display()),
         &out,
-        &["--isolate", "on", "--retries", "2"],
+        &["--retries", "2"],
     );
     assert_eq!(run.status.code(), Some(0), "retries must end green");
     let m = manifest(&out);
@@ -212,7 +216,7 @@ fn a_suite_killed_mid_child_resumes_to_green() {
     let mut suite = Command::new(bin())
         .env("AUTOSEC_CHAOS", "sleep:60000")
         .args(filters)
-        .args(["--json", "--isolate", "on", "--out"])
+        .args(["--json", "--out"])
         .arg(&out)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -257,7 +261,7 @@ fn a_suite_killed_mid_child_resumes_to_green() {
     let resumed = Command::new(bin())
         .env("AUTOSEC_CHAOS", "ok")
         .args(filters)
-        .args(["--json", "--isolate", "on", "--resume", "--out"])
+        .args(["--json", "--resume", "--out"])
         .arg(&out)
         .output()
         .expect("binary runs");

@@ -36,26 +36,19 @@ pub enum RunStatus {
         /// The panic message recorded in the manifest.
         message: String,
     },
-    /// Exceeded its soft deadline.
+    /// Exceeded its deadline; the worker child was killed.
     TimedOut {
         /// The deadline that was in force.
         deadline: Duration,
-        /// In-process fallback only: the overtime worker thread was
-        /// still running when the suite moved on (Rust cannot kill a
-        /// thread, so it leaks until process exit). Always `false`
-        /// under `--isolate on`, where the child is SIGKILLed for
-        /// real.
-        detached: bool,
     },
-    /// Killed for crossing its peak-RSS budget (`--isolate on` only).
+    /// Killed for crossing its peak-RSS budget.
     OomKilled {
         /// Peak resident set observed before the kill (MiB).
         peak_rss_mb: u64,
         /// The budget in force (MiB).
         limit_mb: u64,
     },
-    /// Killed for crossing its CPU-seconds budget (`--isolate on`
-    /// only).
+    /// Killed for crossing its CPU-seconds budget.
     CpuExceeded {
         /// CPU seconds observed before the kill.
         cpu_secs: f64,
@@ -132,21 +125,9 @@ impl ExperimentRecord {
         Self::base(slug, id, duration, RunStatus::Failed { message })
     }
 
-    /// An overtime record. `detached` marks the in-process fallback's
-    /// leaked worker thread (see [`RunStatus::TimedOut`]).
-    pub fn timed_out(
-        slug: &str,
-        id: &str,
-        duration: Duration,
-        deadline: Duration,
-        detached: bool,
-    ) -> Self {
-        Self::base(
-            slug,
-            id,
-            duration,
-            RunStatus::TimedOut { deadline, detached },
-        )
+    /// An overtime record.
+    pub fn timed_out(slug: &str, id: &str, duration: Duration, deadline: Duration) -> Self {
+        Self::base(slug, id, duration, RunStatus::TimedOut { deadline })
     }
 
     /// A record for a child killed over its peak-RSS budget.
@@ -249,11 +230,8 @@ impl ExperimentRecord {
             RunStatus::Failed { message } => {
                 pairs.push(("message", Value::from(message.as_str())));
             }
-            RunStatus::TimedOut { deadline, detached } => {
+            RunStatus::TimedOut { deadline } => {
                 pairs.push(("deadline_secs", Value::from(deadline.as_secs_f64())));
-                if *detached {
-                    pairs.push(("overtime_detached", Value::from(true)));
-                }
             }
             RunStatus::OomKilled {
                 peak_rss_mb,
@@ -664,7 +642,6 @@ mod tests {
                     "E10",
                     Duration::from_secs(31),
                     Duration::from_secs(30),
-                    false,
                 ),
                 ExperimentRecord::skipped("e2-lrp-rounds", "E2"),
                 ExperimentRecord::oom_killed("e5-mem", "E5", Duration::from_secs(2), 131, 64),
@@ -684,10 +661,6 @@ mod tests {
         );
         assert_eq!(exps[2]["status"].as_str(), Some("timed_out"));
         assert_eq!(exps[2]["deadline_secs"].as_f64(), Some(30.0));
-        assert!(
-            exps[2].get("overtime_detached").is_none(),
-            "non-detached timeouts carry no flag"
-        );
         assert_eq!(exps[3]["status"].as_str(), Some("skipped"));
         assert_eq!(exps[3]["artifact"].as_str(), Some("e2-lrp-rounds.json"));
         assert_eq!(exps[4]["status"].as_str(), Some("oom_killed"));
@@ -698,27 +671,6 @@ mod tests {
         assert_eq!(exps[5]["cpu_limit_secs"].as_u64(), Some(8));
         assert_eq!(v["failures"].as_u64(), Some(4));
         assert_eq!(v["filter"].as_str(), Some("E9"));
-    }
-
-    #[test]
-    fn detached_timeouts_are_flagged_in_the_manifest() {
-        let leaked = ExperimentRecord::timed_out(
-            "e3-leak",
-            "E3",
-            Duration::from_secs(2),
-            Duration::from_secs(1),
-            true,
-        );
-        let m = RunManifest {
-            seed: 1,
-            jobs: 1,
-            trials_scale: 1.0,
-            filter: None,
-            records: vec![leaked],
-        };
-        let entry = &m.to_json()["experiments"][0];
-        assert_eq!(entry["status"].as_str(), Some("timed_out"));
-        assert_eq!(entry["overtime_detached"].as_bool(), Some(true));
     }
 
     #[test]
@@ -839,10 +791,9 @@ mod tests {
 
     #[test]
     fn resume_state_treats_killed_statuses_as_retryable() {
-        // A manifest carrying the isolation-era statuses round-trips:
-        // oom_killed / cpu_exceeded / timed_out(detached) entries all
-        // land in `failed` (so --resume re-runs them), never in
-        // `completed`.
+        // A manifest carrying the kill statuses round-trips:
+        // oom_killed / cpu_exceeded / timed_out entries all land in
+        // `failed` (so --resume re-runs them), never in `completed`.
         let dir = tmp("resume-killed");
         let _ = std::fs::remove_dir_all(&dir);
         let store = ArtifactStore::create(&dir).expect("create dir");
@@ -856,11 +807,10 @@ mod tests {
                 ExperimentRecord::oom_killed("e5-mem", "E5", Duration::from_secs(2), 131, 64),
                 ExperimentRecord::cpu_exceeded("e6-cpu", "E6", Duration::from_secs(9), 8.5, 8),
                 ExperimentRecord::timed_out(
-                    "e3-leak",
+                    "e3-slow",
                     "E3",
                     Duration::from_secs(2),
                     Duration::from_secs(1),
-                    true,
                 ),
             ],
         };
@@ -871,7 +821,7 @@ mod tests {
             vec![
                 "e5-mem".to_owned(),
                 "e6-cpu".to_owned(),
-                "e3-leak".to_owned()
+                "e3-slow".to_owned()
             ]
         );
         assert_eq!(state.completed.len(), 1);
@@ -887,6 +837,21 @@ mod tests {
         .expect("write");
         let state = ResumeState::load(&dir).expect("loadable");
         assert_eq!(state.failed, vec!["e9-demo".to_owned()]);
+        // Older manifests carried an extra key on timeouts whose
+        // in-process worker thread outlived its deadline; it is ignored
+        // and the entry stays retryable.
+        std::fs::write(
+            dir.join("manifest.json"),
+            r#"{"seed": 3, "trials_scale": 1.0, "filter": null,
+                "experiments": [{"slug": "e9-demo", "id": "E9", "status": "ok"},
+                                {"slug": "e3-slow", "id": "E3", "status": "timed_out",
+                                 "deadline_secs": 1.0, "overtime_detached": true}]}"#,
+        )
+        .expect("write");
+        let state = ResumeState::load(&dir).expect("loadable");
+        assert!(state.compatible_with::<&str>(3, 1.0, &[]));
+        assert_eq!(state.failed, vec!["e3-slow".to_owned()]);
+        assert!(state.completed.contains("e9-demo"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,17 +1,19 @@
 //! # autosec-runner
 //!
 //! The experiment-execution engine: a registry of experiments with
-//! metadata, a work-stealing thread pool, deterministic parallel
-//! Monte-Carlo helpers, and JSON run artifacts.
+//! metadata, deterministic parallel Monte-Carlo helpers, a suite
+//! runner that supervises each experiment in a child process, and
+//! JSON run artifacts.
 //!
 //! ## Determinism contract
 //!
 //! Every parallel helper in this crate maps trial `i` to the RNG
 //! stream `base.fork_idx(i)` and merges results **in trial order**, so
 //! the output of a run is a pure function of `(seed, trial count)` —
-//! bit-identical for any `--jobs N`, including `N = 1`. The thread
-//! pool only decides *which worker* executes a trial, never *what* the
-//! trial computes or where its result lands.
+//! bit-identical for any `--jobs N`, including `N = 1`. Workers claim
+//! trial indices from a shared counter, which decides only *which
+//! thread* executes a trial, never *what* the trial computes or where
+//! its result lands.
 //!
 //! ## Layout
 //!
@@ -21,18 +23,16 @@
 //! - [`Experiment`] / [`Registry`] — experiments as data: id, slug,
 //!   title, tags, cost class, and a closure producing a [`Table`].
 //! - [`RunCtx`] — seed + job count handed to every experiment.
-//! - [`WorkStealingPool`] — index-claiming pool used by [`par_trials`].
 //! - [`par_trials`] / [`try_par_trials`] — the two deterministic
 //!   parallel Monte-Carlo entry points: the first propagates a
 //!   panicking trial, the second quarantines it as a [`TrialOutcome`]
 //!   instead of unwinding.
-//! - [`suite`] — the fault-tolerant suite runner: per-experiment
-//!   `catch_unwind`, cost-derived soft deadlines, keep-going
+//! - [`suite`] — the fault-tolerant suite runner: every entry in a
+//!   supervised child process, cost-derived deadlines, keep-going
 //!   degradation, seeded retry backoff, and resume skip sets.
-//! - [`proc`] — process-level supervision: suite entries in spawned
-//!   worker children that deadlines SIGKILL for real, with peak-RSS
-//!   and CPU-seconds budgets enforced by `/proc` polling plus rlimit
-//!   backstops.
+//! - [`proc`] — process-level supervision: worker children that
+//!   deadlines SIGKILL for real, with peak-RSS and CPU-seconds budgets
+//!   enforced by `/proc` polling plus rlimit backstops.
 //! - [`artifact`] — run manifest + per-experiment JSON artifacts, with
 //!   per-entry statuses and [`ResumeState`] for `--resume`.
 //!
@@ -49,7 +49,6 @@
 pub mod artifact;
 pub mod ctx;
 pub mod par;
-pub mod pool;
 pub mod proc;
 pub mod registry;
 pub mod suite;
@@ -62,10 +61,8 @@ pub use artifact::{
 };
 pub use ctx::{RunCtx, DEFAULT_SEED};
 pub use par::{panic_message, par_trials, silence_panics, try_par_trials, TrialOutcome};
-pub use pool::WorkStealingPool;
 pub use proc::{
-    apply_worker_rlimits, retry_delay, worker_failure_path, IsolateMode, ResourceBudgets,
-    WorkerSpec,
+    apply_worker_rlimits, retry_delay, worker_failure_path, ResourceBudgets, WorkerSpec,
 };
 pub use registry::{Cost, Experiment, Registry};
 pub use suite::{run_suite, Isolation, SuiteOptions, SuiteReport};

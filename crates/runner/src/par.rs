@@ -24,11 +24,9 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, PoisonError};
+use std::sync::Once;
 
 use autosec_sim::SimRng;
-
-use crate::pool::WorkStealingPool;
 
 /// The quarantined result of one Monte-Carlo trial.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,33 +121,45 @@ type Caught<T> = Result<T, Box<dyn Any + Send>>;
 /// `n` trials — a panic never prevents later trials from running — so
 /// quarantine and propagation decisions are identical for every `jobs`
 /// value.
+///
+/// With `jobs > 1`, scoped workers claim trial indices from one shared
+/// counter and keep their own `(i, result)` pairs, which are merged by
+/// index afterwards: scheduling decides only *which thread* runs a
+/// trial, never what it computes or where its result lands.
 fn run_caught<T, F>(jobs: usize, n: usize, base: &SimRng, trial: F) -> Vec<Caught<T>>
 where
     T: Send,
     F: Fn(usize, SimRng) -> T + Sync,
 {
-    let pool = WorkStealingPool::new(jobs);
     let caught = |i: usize| catch_unwind(AssertUnwindSafe(|| trial(i, base.fork_idx(i as u64))));
-    if pool.jobs() == 1 || n <= 1 {
+    let workers = jobs.min(n);
+    if workers <= 1 {
         return (0..n).map(caught).collect();
     }
 
-    let slots: Vec<Mutex<Option<Caught<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool.execute(n, |i| {
-        // The trial runs (and may unwind) before the slot lock is
-        // taken, so a panicking trial cannot poison any slot; the
-        // recovery below is pure defense in depth.
-        let out = caught(i);
-        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+    let next = AtomicUsize::new(0);
+    let mut pairs: Vec<(usize, Caught<T>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, caught(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("trial panics are caught in the worker"))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every slot filled")
-        })
-        .collect()
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Runs `n` independent trials, trial `i` on `base.fork_idx(i)`, and
@@ -224,6 +234,9 @@ mod tests {
             let par = par_trials(jobs, 257, &base, |_, mut rng| rng.next_u64());
             assert_eq!(serial, par, "jobs={jobs}");
         }
+        // More workers than trials.
+        let few = par_trials(16, 3, &base, |_, mut rng| rng.next_u64());
+        assert_eq!(few, serial[..3]);
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Process-level supervision: real kills and resource budgets.
 //!
-//! PR 5's in-process supervision cannot reclaim an overtime worker —
-//! Rust offers no safe way to kill a thread, so the suite merely stops
-//! *waiting* and the detached worker keeps burning CPU/RAM inside the
-//! suite process. This module gives deadlines teeth by moving
-//! execution into a spawned child process (the `experiments` binary
-//! re-invoked with a hidden `--worker-one <slug>` mode):
+//! Every suite entry runs in a spawned child process (the
+//! `experiments` binary re-invoked with a hidden `--worker-one <slug>`
+//! mode), because a child, unlike a thread, can be reclaimed:
 //!
 //! - a deadline breach SIGKILLs the child for real;
 //! - a **peak-RSS budget** is enforced by parent-side polling of
@@ -17,10 +14,11 @@
 //!
 //! The parent-side poll is the primary classifier (it knows *which*
 //! budget tripped); the rlimits only matter if the supervising parent
-//! itself dies. Results come back through the ordinary
+//! itself dies. Off Linux the probes read nothing, so only deadlines
+//! bite. Results come back through the ordinary
 //! [`ArtifactStore`](crate::ArtifactStore) JSON handoff, so healthy
-//! artifacts are bit-identical to in-process execution by
-//! construction.
+//! artifacts are bit-identical to an in-process
+//! [`Experiment::run`](crate::Experiment::run) by construction.
 //!
 //! [`retry_delay`] computes the `--retries` backoff schedule from the
 //! run's own seeded substream: a pure function of
@@ -35,40 +33,6 @@ use std::time::{Duration, Instant};
 use autosec_sim::SimRng;
 use rand::RngCore;
 
-/// Where suite entries execute (`--isolate on|off|auto`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IsolateMode {
-    /// Every entry runs in a supervised child process.
-    On,
-    /// Every entry runs in-process on a supervised thread (PR 5
-    /// behavior; overtime workers are detached, not killed).
-    Off,
-    /// `On` iff a resource budget was requested, else `Off`.
-    #[default]
-    Auto,
-}
-
-impl IsolateMode {
-    /// Parses the `--isolate` flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "on" => Some(IsolateMode::On),
-            "off" => Some(IsolateMode::Off),
-            "auto" => Some(IsolateMode::Auto),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IsolateMode::On => "on",
-            IsolateMode::Off => "off",
-            IsolateMode::Auto => "auto",
-        }
-    }
-}
-
 /// Per-experiment resource ceilings for a supervised child.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceBudgets {
@@ -76,15 +40,8 @@ pub struct ResourceBudgets {
     /// leaves memory unbudgeted.
     pub rss_limit_mb: Option<u64>,
     /// CPU-seconds ceiling (`--cpu-limit-secs`); `None` lets the suite
-    /// derive one from the experiment's [`Cost`](crate::Cost) deadline.
+    /// derive one from the deadline in force.
     pub cpu_limit_secs: Option<u64>,
-}
-
-impl ResourceBudgets {
-    /// Whether any budget was requested.
-    pub fn any(&self) -> bool {
-        self.rss_limit_mb.is_some() || self.cpu_limit_secs.is_some()
-    }
 }
 
 /// How to re-invoke the experiments binary as a single-experiment
@@ -121,7 +78,7 @@ impl WorkerSpec {
 /// Why the supervisor killed a child.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KillReason {
-    /// The soft deadline elapsed.
+    /// The deadline elapsed.
     Deadline,
     /// Peak RSS crossed the budget.
     Rss {
@@ -156,14 +113,18 @@ pub struct ProcOutcome {
     pub exit: Option<ExitStatus>,
 }
 
-/// How often the supervisor polls `try_wait` and `/proc`.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(15);
+/// The supervisor's first wait between polls of `try_wait` and
+/// `/proc`; each later wait doubles, up to [`POLL_MAX`]. A child that
+/// exits after t < 15 ms is seen within about 2t, and a long one costs
+/// one poll per [`POLL_MAX`].
+const POLL_FIRST: Duration = Duration::from_millis(1);
+/// The longest wait between two polls.
+const POLL_MAX: Duration = Duration::from_millis(15);
 
 /// Spawns `cmd` and supervises it until natural exit or a budget kill.
 ///
 /// The kill is a real SIGKILL (`Child::kill`), so a hung or leaking
-/// child is actually reclaimed — unlike the in-process fallback, which
-/// can only detach its worker thread.
+/// child is actually reclaimed.
 pub fn supervise(
     cmd: &mut Command,
     deadline: Duration,
@@ -174,6 +135,7 @@ pub fn supervise(
     let pid = child.id();
     let mut peak_rss_mb = 0u64;
     let mut cpu_secs = 0f64;
+    let mut poll = POLL_FIRST;
     let killed = loop {
         if let Some(status) = child.try_wait()? {
             return Ok(ProcOutcome {
@@ -209,7 +171,8 @@ pub fn supervise(
         if start.elapsed() >= deadline {
             break KillReason::Deadline;
         }
-        std::thread::sleep(POLL_INTERVAL);
+        std::thread::sleep(poll);
+        poll = (poll * 2).min(POLL_MAX);
     };
     // SIGKILL cannot be caught or ignored; wait() reaps the zombie.
     let _ = child.kill();
@@ -300,15 +263,18 @@ pub fn apply_worker_rlimits(budgets: ResourceBudgets) {
         // A little above the parent's ceiling so the parent classifies
         // the breach first (SIGXCPU at cur, SIGKILL at max).
         let lim = RLimit {
-            cur: secs + 2,
-            max: secs + 5,
+            cur: secs.saturating_add(2),
+            max: secs.saturating_add(5),
         };
         unsafe { setrlimit(RLIMIT_CPU, &lim) };
     }
     if let Some(mb) = budgets.rss_limit_mb {
         // Address space overshoots resident size by a wide margin
         // (mappings, guard pages, arenas), so the backstop is generous.
-        let bytes = (mb * 4 + 512) * 1024 * 1024;
+        let bytes = mb
+            .saturating_mul(4)
+            .saturating_add(512)
+            .saturating_mul(1024 * 1024);
         let lim = RLimit {
             cur: bytes,
             max: bytes,
@@ -324,8 +290,8 @@ pub fn apply_worker_rlimits(_budgets: ResourceBudgets) {}
 
 /// Where a worker child records a panic message for the parent
 /// (`<handoff>/<slug>.panic.txt`). The parent folds it into the
-/// ordinary `failed` manifest entry, preserving the panic-message
-/// contract of in-process execution.
+/// ordinary `failed` manifest entry, carrying the original panic
+/// message.
 pub fn worker_failure_path(handoff_dir: &Path, slug: &str) -> PathBuf {
     handoff_dir.join(format!("{slug}.panic.txt"))
 }
@@ -362,18 +328,6 @@ mod tests {
         let mut cmd = Command::new("/bin/sh");
         cmd.arg("-c").arg(script).stdin(Stdio::null());
         cmd
-    }
-
-    #[test]
-    fn isolate_mode_parses() {
-        assert_eq!(IsolateMode::parse("on"), Some(IsolateMode::On));
-        assert_eq!(IsolateMode::parse("off"), Some(IsolateMode::Off));
-        assert_eq!(IsolateMode::parse("auto"), Some(IsolateMode::Auto));
-        assert_eq!(IsolateMode::parse("ON"), None);
-        assert_eq!(IsolateMode::parse(""), None);
-        for m in [IsolateMode::On, IsolateMode::Off, IsolateMode::Auto] {
-            assert_eq!(IsolateMode::parse(m.as_str()), Some(m));
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::artifact::{ResumeState, DEFAULT_ARTIFACT_DIR};
 use crate::ctx::RunCtx;
 use crate::table::Table;
 
-/// Rough cost class of one experiment (drives scheduling hints, soft
+/// Rough cost class of one experiment (drives scheduling hints,
 /// deadlines, and lets callers pick cheap subsets for smoke tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Cost {
@@ -21,7 +21,7 @@ pub enum Cost {
 }
 
 impl Cost {
-    /// The default soft deadline for one experiment of this class,
+    /// The default deadline for one experiment of this class,
     /// used by the fault-tolerant suite runner (override with
     /// `--deadline-secs`). Generous on purpose: a healthy run never
     /// comes close, so tripping one means the experiment is hung or
@@ -32,14 +32,6 @@ impl Cost {
             Cost::Moderate => Duration::from_secs(120),
             Cost::Heavy => Duration::from_secs(600),
         }
-    }
-
-    /// The default CPU-seconds ceiling for a supervised child of this
-    /// class (override with `--cpu-limit-secs`): the wall deadline
-    /// times the worker count, since a child legitimately saturating
-    /// `jobs` threads burns up to `jobs` CPU-seconds per wall second.
-    pub fn cpu_budget_secs(self, jobs: usize) -> u64 {
-        self.deadline().as_secs() * jobs.max(1) as u64
     }
 }
 
@@ -400,7 +392,6 @@ mod tests {
                     "E10",
                     std::time::Duration::from_secs(2),
                     std::time::Duration::from_secs(1),
-                    false,
                 ),
             ],
         };
@@ -448,13 +439,5 @@ mod tests {
     fn deadlines_grow_with_cost() {
         assert!(Cost::Cheap.deadline() < Cost::Moderate.deadline());
         assert!(Cost::Moderate.deadline() < Cost::Heavy.deadline());
-    }
-
-    #[test]
-    fn cpu_budget_scales_with_jobs() {
-        assert_eq!(Cost::Cheap.cpu_budget_secs(1), 30);
-        assert_eq!(Cost::Cheap.cpu_budget_secs(4), 120);
-        assert_eq!(Cost::Heavy.cpu_budget_secs(2), 1200);
-        assert_eq!(Cost::Cheap.cpu_budget_secs(0), 30, "jobs clamped to 1");
     }
 }

@@ -4,13 +4,11 @@
 //! layered-defense story says a system should fail — partially, not
 //! whole:
 //!
-//! - every experiment runs under supervision with a **soft deadline**
-//!   derived from its [`Cost`](crate::Cost) class (or a fixed
-//!   override). In-process mode contains panics with `catch_unwind`
-//!   and *detaches* overtime worker threads (Rust cannot kill a
-//!   thread); with [`SuiteOptions::isolation`] set, each entry instead
-//!   runs in a spawned **child process** that a deadline or resource
-//!   budget SIGKILLs for real — see [`crate::proc`];
+//! - every experiment runs in a supervised **child process** (see
+//!   [`crate::proc`]) under a deadline derived from its
+//!   [`Cost`](crate::Cost) class (or a fixed override); a deadline or
+//!   resource budget SIGKILLs the child for real, so an overtime
+//!   entry leaves nothing running behind it;
 //! - budget violations are first-class outcomes: a child killed over
 //!   its peak-RSS budget records `oom_killed`, one over its
 //!   CPU-seconds budget records `cpu_exceeded`, and both are
@@ -19,7 +17,7 @@
 //!   untouched experiments produce bit-identical artifacts to a clean
 //!   run, because trial RNG streams never depend on what other
 //!   experiments did — and a worker child's artifact is identical to
-//!   in-process output by construction (same pure function of seed);
+//!   an in-process run by construction (same pure function of seed);
 //! - [`SuiteOptions::retries`] re-runs failed entries with
 //!   exponential backoff whose jitter comes from the run's own seeded
 //!   substream ([`retry_delay`]) — the schedule is a pure function of
@@ -35,32 +33,28 @@
 //! behind rather than nothing.
 
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde_json::Value;
 
 use crate::artifact::ExperimentRecord;
 use crate::ctx::RunCtx;
-use crate::par::{panic_message, silence_panics};
 use crate::proc::{
     retry_delay, supervise, worker_failure_path, KillReason, ResourceBudgets, WorkerSpec,
 };
 use crate::registry::Experiment;
 use crate::table::Table;
 
-/// Process-isolation settings for a suite run (`--isolate on`).
+/// How a suite run spawns and budgets its worker children.
 #[derive(Debug, Clone)]
 pub struct Isolation {
     /// How to re-invoke the experiments binary as a worker.
     pub spec: WorkerSpec,
     /// Requested budgets. An unset CPU ceiling is derived per
-    /// experiment from its [`Cost`](crate::Cost)
-    /// (`cpu_budget_secs`); an unset RSS ceiling leaves memory
-    /// unbudgeted.
+    /// experiment as the deadline in force times the worker count; an
+    /// unset RSS ceiling leaves memory unbudgeted.
     pub budgets: ResourceBudgets,
     /// Directory for per-experiment handoff subdirectories
     /// (`<root>/<slug>/`), recreated per attempt.
@@ -68,7 +62,7 @@ pub struct Isolation {
 }
 
 /// Degradation policy for one suite run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SuiteOptions {
     /// Record failures and keep running (`--keep-going`). Without it
     /// the suite stops at the first failure — but still returns the
@@ -83,13 +77,12 @@ pub struct SuiteOptions {
     /// Extra attempts for failed entries (`--retries N`); each re-run
     /// waits [`retry_delay`] first. 0 = at most one attempt.
     pub retries: u32,
-    /// `Some` switches entries from supervised threads to supervised
-    /// child processes (`--isolate on`).
-    pub isolation: Option<Isolation>,
+    /// How each entry's worker child is spawned and budgeted.
+    pub isolation: Isolation,
 }
 
 impl SuiteOptions {
-    /// The soft deadline in force for `exp`.
+    /// The deadline in force for `exp`.
     pub fn deadline_for(&self, exp: &Experiment) -> Duration {
         self.deadline_override
             .unwrap_or_else(|| exp.cost.deadline())
@@ -128,62 +121,18 @@ impl SuiteReport {
 enum WorkerVerdict {
     Done(Table),
     Panicked(String),
-    Overtime { detached: bool },
+    Overtime,
     OomKilled { peak_mb: u64, limit_mb: u64 },
     CpuExceeded { used_secs: f64, limit_secs: u64 },
-}
-
-/// Runs one experiment on a supervised worker thread with a deadline.
-///
-/// On timeout the worker is detached: it keeps running (Rust offers no
-/// safe way to kill a thread) but its eventual result is discarded —
-/// the channel's receiver is gone. The suite only ever waits
-/// `deadline` for it; `detached` records whether the thread was in
-/// fact still running when the suite moved on, so the manifest can
-/// flag the leak (`overtime_detached`). Process isolation
-/// ([`run_isolated`]) is the mode that actually reclaims the worker.
-fn run_supervised(
-    exp: &Arc<Experiment>,
-    ctx: &RunCtx,
-    deadline: Duration,
-) -> (Duration, WorkerVerdict) {
-    let (tx, rx) = mpsc::channel();
-    let worker_exp = Arc::clone(exp);
-    let worker_ctx = *ctx;
-    let start = Instant::now();
-    let handle = std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| worker_exp.run(&worker_ctx)));
-        // A send after the deadline fails harmlessly: nobody listens.
-        let _ = tx.send(result);
-    });
-    match rx.recv_timeout(deadline) {
-        Ok(result) => {
-            let elapsed = start.elapsed();
-            let _ = handle.join();
-            match result {
-                Ok(table) => (elapsed, WorkerVerdict::Done(table)),
-                Err(payload) => (
-                    elapsed,
-                    WorkerVerdict::Panicked(panic_message(payload.as_ref())),
-                ),
-            }
-        }
-        Err(_) => (
-            start.elapsed(),
-            WorkerVerdict::Overtime {
-                detached: !handle.is_finished(),
-            },
-        ),
-    }
 }
 
 /// Runs one experiment in a supervised child process with a deadline
 /// and resource budgets (see [`crate::proc`]). The child writes its
 /// artifact into a private handoff directory; the parent parses the
-/// table back out, so the caller's artifact pipeline is identical to
-/// in-process execution.
+/// table back out, so the caller's artifact pipeline sees exactly the
+/// table an in-process run would produce.
 fn run_isolated(
-    exp: &Arc<Experiment>,
+    exp: &Experiment,
     ctx: &RunCtx,
     deadline: Duration,
     iso: &Isolation,
@@ -196,13 +145,13 @@ fn run_isolated(
             WorkerVerdict::Panicked(format!("worker handoff dir failed: {e}")),
         );
     }
+    // A child saturating `jobs` threads legitimately burns up to `jobs`
+    // CPU-seconds per wall second of its deadline.
     let budgets = ResourceBudgets {
         rss_limit_mb: iso.budgets.rss_limit_mb,
-        cpu_limit_secs: Some(
-            iso.budgets
-                .cpu_limit_secs
-                .unwrap_or_else(|| exp.cost.cpu_budget_secs(ctx.jobs)),
-        ),
+        cpu_limit_secs: Some(iso.budgets.cpu_limit_secs.unwrap_or_else(|| {
+            (deadline.as_secs_f64().ceil() as u64).saturating_mul(ctx.jobs.max(1) as u64)
+        })),
     };
     let mut cmd = iso.spec.command(exp.slug, &handoff, budgets);
     let outcome = match supervise(&mut cmd, deadline, budgets) {
@@ -232,7 +181,7 @@ fn classify_outcome(
 ) -> WorkerVerdict {
     if let Some(reason) = outcome.killed {
         return match reason {
-            KillReason::Deadline => WorkerVerdict::Overtime { detached: false },
+            KillReason::Deadline => WorkerVerdict::Overtime,
             KillReason::Rss { peak_mb, limit_mb } => WorkerVerdict::OomKilled { peak_mb, limit_mb },
             KillReason::Cpu {
                 used_secs,
@@ -313,9 +262,7 @@ fn verdict_record(
         WorkerVerdict::Panicked(message) => {
             ExperimentRecord::failed(exp.slug, exp.id, elapsed, message)
         }
-        WorkerVerdict::Overtime { detached } => {
-            ExperimentRecord::timed_out(exp.slug, exp.id, elapsed, deadline, detached)
-        }
+        WorkerVerdict::Overtime => ExperimentRecord::timed_out(exp.slug, exp.id, elapsed, deadline),
         WorkerVerdict::OomKilled { peak_mb, limit_mb } => {
             ExperimentRecord::oom_killed(exp.slug, exp.id, elapsed, peak_mb, limit_mb)
         }
@@ -332,21 +279,16 @@ fn verdict_record(
 /// manifest — whatever the caller does with progress).
 ///
 /// Determinism: experiments influence each other only through the
-/// shared `ctx` seed, which none of them mutates, so the set of
-/// failures never changes *what the healthy experiments compute* —
-/// their tables are bit-identical to a clean run's, whether computed
-/// in-process or inside a worker child.
+/// shared `ctx` seed, which none of them mutates, and each runs in its
+/// own child process, so the set of failures never changes *what the
+/// healthy experiments compute* — their tables are bit-identical to a
+/// clean run's.
 pub fn run_suite(
     experiments: &[Arc<Experiment>],
     ctx: &RunCtx,
     opts: &SuiteOptions,
     mut on_record: impl FnMut(&ExperimentRecord),
 ) -> SuiteReport {
-    // Panics are contained and reported through the manifest; the
-    // default hook's stderr dump would only repeat them (and a chaos
-    // experiment under --keep-going would flood the log).
-    let _quiet = opts.keep_going.then(silence_panics);
-
     let mut report = SuiteReport {
         records: Vec::with_capacity(experiments.len()),
         aborted: false,
@@ -358,10 +300,7 @@ pub fn run_suite(
             let deadline = opts.deadline_for(exp);
             let mut attempt: u32 = 0;
             loop {
-                let (elapsed, verdict) = match &opts.isolation {
-                    Some(iso) => run_isolated(exp, ctx, deadline, iso),
-                    None => run_supervised(exp, ctx, deadline),
-                };
+                let (elapsed, verdict) = run_isolated(exp, ctx, deadline, &opts.isolation);
                 let record =
                     verdict_record(exp, elapsed, deadline, verdict).with_attempts(attempt + 1);
                 if record.status.is_failure() && attempt < opts.retries {
@@ -383,54 +322,78 @@ pub fn run_suite(
     report
 }
 
-#[cfg(test)]
+// Every entry runs in a child process, so these tests stand `/bin/sh`
+// in for the experiments binary: `sh -c <script>` receives the
+// appended worker args as $0..$5 (`--worker-one <slug> --out <handoff>
+// --cpu-limit-secs <n>`), so a script can dispatch on its slug ("$1")
+// and address its own handoff directory as "$3".
+#[cfg(all(test, unix))]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
     use crate::artifact::RunStatus;
     use crate::registry::{Cost, Registry};
 
+    /// Four toy entries. Their closures never run: a worker script
+    /// plays each entry's child process.
     fn toy_registry() -> Registry {
         let mut r = Registry::new();
-        r.register(Experiment::new(
-            "T1",
-            "t1-ok",
-            "healthy",
-            &[],
-            Cost::Cheap,
-            |ctx| {
-                let mut t = Table::new("T1", "healthy", &["seed"]);
-                t.push_row(vec![ctx.seed.to_string()]);
-                t
-            },
-        ));
-        r.register(Experiment::new(
-            "T2",
-            "t2-panic",
-            "always panics",
-            &[],
-            Cost::Cheap,
-            |_| panic!("t2 exploded deterministically"),
-        ));
-        r.register(Experiment::new(
-            "T3",
-            "t3-slow",
-            "sleeps 300 ms",
-            &[],
-            Cost::Cheap,
-            |_| {
-                std::thread::sleep(Duration::from_millis(300));
-                Table::new("T3", "slow", &["a"])
-            },
-        ));
-        r.register(Experiment::new(
-            "T4",
-            "t4-ok",
-            "healthy too",
-            &[],
-            Cost::Cheap,
-            |_| Table::new("T4", "ok", &["a"]),
-        ));
+        for (id, slug) in [
+            ("T1", "t1-ok"),
+            ("T2", "t2-panic"),
+            ("T3", "t3-slow"),
+            ("T4", "t4-ok"),
+        ] {
+            r.register(Experiment::new(id, slug, "toy", &[], Cost::Cheap, |_| {
+                unreachable!("suite entries run in worker children")
+            }));
+        }
         r
+    }
+
+    /// The toy entries as one worker script: `t2-panic` leaves a panic
+    /// file and exits 101 (what a panicking worker does), `t3-slow`
+    /// sleeps 300 ms first, and every other entry writes a one-row
+    /// table naming its slug.
+    const TOY_WORKER: &str = r#"
+        case "$1" in
+          t2-panic) printf 't2 exploded deterministically' > "$3/$1.panic.txt"; exit 101 ;;
+          t3-slow) sleep 0.3 ;;
+        esac
+        printf '{"table":{"id":"T","title":"toy","headers":["slug"],"rows":[["%s"]]}}' "$1" > "$3/$1.json"
+    "#;
+
+    /// Default options whose workers run `script` under a private
+    /// handoff root named after `tag`.
+    fn sh_opts(script: &str, tag: &str) -> SuiteOptions {
+        let root = std::env::temp_dir().join(format!("autosec-suite-iso-{tag}"));
+        let _ = std::fs::remove_dir_all(&root);
+        SuiteOptions {
+            keep_going: false,
+            deadline_override: None,
+            skip: BTreeSet::new(),
+            retries: 0,
+            isolation: Isolation {
+                spec: WorkerSpec {
+                    exe: PathBuf::from("/bin/sh"),
+                    base_args: vec!["-c".into(), script.into()],
+                },
+                budgets: ResourceBudgets::default(),
+                handoff_root: root,
+            },
+        }
+    }
+
+    /// Runs `experiments` under `opts`, then removes the handoff root.
+    fn run(experiments: &[Arc<Experiment>], ctx: &RunCtx, opts: &SuiteOptions) -> SuiteReport {
+        let report = run_suite(experiments, ctx, opts, |_| {});
+        let _ = std::fs::remove_dir_all(&opts.isolation.handoff_root);
+        report
+    }
+
+    fn cell(record: &ExperimentRecord) -> &str {
+        &record.table.as_ref().expect("ok record has a table").rows[0][0]
     }
 
     #[test]
@@ -438,12 +401,13 @@ mod tests {
         let reg = toy_registry();
         let opts = SuiteOptions {
             keep_going: true,
-            ..Default::default()
+            ..sh_opts(TOY_WORKER, "keep-going")
         };
         let mut seen = Vec::new();
         let report = run_suite(&reg.all(), &RunCtx::new(42, 1), &opts, |r| {
             seen.push(r.slug.clone());
         });
+        let _ = std::fs::remove_dir_all(&opts.isolation.handoff_root);
         assert_eq!(seen, vec!["t1-ok", "t2-panic", "t3-slow", "t4-ok"]);
         assert!(!report.aborted);
         assert_eq!(report.failures().len(), 1);
@@ -456,57 +420,30 @@ mod tests {
         );
         assert!(failure.table.is_none());
         // The healthy experiments still produced their tables.
-        assert!(report.records[0].table.is_some());
-        assert!(report.records[3].table.is_some());
+        assert_eq!(cell(&report.records[0]), "t1-ok");
+        assert_eq!(cell(&report.records[3]), "t4-ok");
     }
 
     #[test]
     fn without_keep_going_the_suite_stops_at_the_failure() {
         let reg = toy_registry();
-        let report = run_suite(
-            &reg.all(),
-            &RunCtx::new(42, 1),
-            &SuiteOptions::default(),
-            |_| {},
-        );
+        let opts = sh_opts(TOY_WORKER, "abort");
+        let report = run(&reg.all(), &RunCtx::new(42, 1), &opts);
         assert!(report.aborted);
         assert_eq!(report.records.len(), 2, "t3/t4 never attempted");
         assert!(report.records[1].status.is_failure());
     }
 
     #[test]
-    fn deadline_marks_slow_experiments_overtime_and_flags_the_leak() {
-        let reg = toy_registry();
-        let opts = SuiteOptions {
-            keep_going: true,
-            deadline_override: Some(Duration::from_millis(50)),
-            ..Default::default()
-        };
-        let report = run_suite(&reg.select("t3-slow"), &RunCtx::new(42, 1), &opts, |_| {});
-        assert_eq!(report.records.len(), 1);
-        match &report.records[0].status {
-            RunStatus::TimedOut { deadline, detached } => {
-                assert_eq!(*deadline, Duration::from_millis(50));
-                // The 300 ms sleeper is still running when the 50 ms
-                // deadline fires — the in-process fallback must admit
-                // the leak instead of silently dropping the thread.
-                assert!(*detached, "overtime worker was still running");
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert!(report.records[0].duration >= Duration::from_millis(50));
-    }
-
-    #[test]
     fn generous_deadline_lets_slow_experiments_finish() {
         let reg = toy_registry();
         let opts = SuiteOptions {
-            keep_going: true,
             deadline_override: Some(Duration::from_secs(30)),
-            ..Default::default()
+            ..sh_opts(TOY_WORKER, "generous")
         };
-        let report = run_suite(&reg.select("t3-slow"), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.select("t3-slow"), &RunCtx::new(42, 1), &opts);
         assert_eq!(report.records[0].status, RunStatus::Ok);
+        assert!(report.records[0].duration >= Duration::from_millis(300));
     }
 
     #[test]
@@ -515,9 +452,9 @@ mod tests {
         let opts = SuiteOptions {
             // Skipping the panicking experiment means nothing fails.
             skip: ["t2-panic".to_owned(), "t1-ok".to_owned()].into(),
-            ..Default::default()
+            ..sh_opts(TOY_WORKER, "skip")
         };
-        let report = run_suite(&reg.all(), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.all(), &RunCtx::new(42, 1), &opts);
         assert!(report.all_ok());
         assert_eq!(report.records[0].status, RunStatus::Skipped);
         assert_eq!(report.records[1].status, RunStatus::Skipped);
@@ -526,63 +463,59 @@ mod tests {
     }
 
     #[test]
-    fn healthy_tables_are_identical_with_and_without_a_neighbor_failing() {
-        // The core keep-going promise: a failure changes nothing for
-        // the experiments around it.
-        let reg = toy_registry();
-        let ctx = RunCtx::new(7, 2);
-        let opts = SuiteOptions {
-            keep_going: true,
-            ..Default::default()
-        };
-        let degraded = run_suite(&reg.all(), &ctx, &opts, |_| {});
-        let clean = run_suite(
-            &reg.select_many(&["t1-ok", "t4-ok"]),
-            &ctx,
-            &SuiteOptions::default(),
-            |_| {},
-        );
-        assert_eq!(degraded.records[0].table, clean.records[0].table);
-        assert_eq!(degraded.records[3].table, clean.records[1].table);
-    }
-
-    #[test]
     fn cost_derived_deadline_is_used_when_no_override() {
         let reg = toy_registry();
-        let opts = SuiteOptions::default();
+        let opts = sh_opts(TOY_WORKER, "deadline-for");
         let exp = &reg.select("t1-ok")[0];
         assert_eq!(opts.deadline_for(exp), Cost::Cheap.deadline());
         let fixed = SuiteOptions {
             deadline_override: Some(Duration::from_secs(1)),
-            ..Default::default()
+            ..opts
         };
         assert_eq!(fixed.deadline_for(exp), Duration::from_secs(1));
     }
 
     #[test]
+    fn default_cpu_budget_is_the_deadline_in_force_times_jobs() {
+        // The worker reports the --cpu-limit-secs it was given ("$5").
+        let script = r#"printf '{"table":{"id":"T1","title":"cpu","headers":["cpu"],"rows":[["%s"]]}}' "$5" > "$3/$1.json""#;
+        let reg = toy_registry();
+        let t1 = reg.select("t1-ok");
+        let budget = |jobs, deadline_override, tag| {
+            let opts = SuiteOptions {
+                deadline_override,
+                ..sh_opts(script, tag)
+            };
+            let report = run(&t1, &RunCtx::new(42, jobs), &opts);
+            cell(&report.records[0]).to_owned()
+        };
+        assert_eq!(budget(1, None, "cpu-cost"), "30", "cheap deadline");
+        let long = Some(Duration::from_secs(1200));
+        assert_eq!(budget(1, long, "cpu-long"), "1200");
+        assert_eq!(budget(3, long, "cpu-long-j3"), "3600");
+        let short = Some(Duration::from_millis(200));
+        assert_eq!(budget(1, short, "cpu-short"), "1", "never a zero budget");
+        let endless = Some(Duration::from_secs(u64::MAX));
+        assert_eq!(budget(2, endless, "cpu-endless"), u64::MAX.to_string());
+    }
+
+    #[test]
     fn retries_rerun_failures_until_green() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static CALLS: AtomicU32 = AtomicU32::new(0);
-        let mut r = Registry::new();
-        r.register(Experiment::new(
-            "T5",
-            "t5-flaky",
-            "fails twice then succeeds",
-            &[],
-            Cost::Cheap,
-            |_| {
-                if CALLS.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("flaky wobble");
-                }
-                Table::new("T5", "ok", &["a"])
-            },
-        ));
+        // Attempt counter in the handoff root, which outlives the
+        // per-attempt handoff directory.
+        let script = r#"
+            n=$(cat "$3/../calls" 2>/dev/null || echo 0)
+            echo $((n + 1)) > "$3/../calls"
+            if [ "$n" -lt 2 ]; then printf 'flaky wobble' > "$3/$1.panic.txt"; exit 101; fi
+            printf '{"table":{"id":"T1","title":"ok","headers":["a"],"rows":[["1"]]}}' > "$3/$1.json"
+        "#;
+        let reg = toy_registry();
         let opts = SuiteOptions {
             keep_going: true,
             retries: 3,
-            ..Default::default()
+            ..sh_opts(script, "retry")
         };
-        let report = run_suite(&r.all(), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts);
         assert!(report.all_ok());
         assert_eq!(report.records[0].status, RunStatus::Ok);
         assert_eq!(report.records[0].attempts, 3, "two failures + one success");
@@ -594,170 +527,95 @@ mod tests {
         let opts = SuiteOptions {
             keep_going: true,
             retries: 1,
-            ..Default::default()
+            ..sh_opts(TOY_WORKER, "exhausted")
         };
-        let report = run_suite(&reg.select("t2-panic"), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.select("t2-panic"), &RunCtx::new(42, 1), &opts);
         assert_eq!(report.records[0].attempts, 2);
         assert!(report.records[0].status.is_failure());
     }
 
-    // Process-isolation plumbing tested with /bin/sh standing in for
-    // the experiments binary: `sh -c <script>` receives the appended
-    // worker args as $0..$3 (`--worker-one <slug> --out <handoff>`),
-    // so a script can address its own handoff directory as "$3".
-    #[cfg(unix)]
-    fn sh_isolation(script: &str, tag: &str) -> Isolation {
-        let root = std::env::temp_dir().join(format!("autosec-suite-iso-{tag}"));
-        let _ = std::fs::remove_dir_all(&root);
-        Isolation {
-            spec: WorkerSpec {
-                exe: PathBuf::from("/bin/sh"),
-                base_args: vec!["-c".into(), script.into()],
-            },
-            budgets: ResourceBudgets::default(),
-            handoff_root: root,
-        }
-    }
-
-    #[cfg(unix)]
     #[test]
     fn isolated_worker_artifact_becomes_the_record_table() {
         let script = r#"printf '{"table":{"id":"T1","title":"from child","headers":["a"],"rows":[["7"]]}}' > "$3/$1.json""#;
-        let iso = sh_isolation(script, "ok");
-        let root = iso.handoff_root.clone();
-        let opts = SuiteOptions {
-            isolation: Some(iso),
-            ..Default::default()
-        };
+        let opts = sh_opts(script, "ok");
         let reg = toy_registry();
-        let report = run_suite(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts);
         assert!(report.all_ok());
         let table = report.records[0].table.as_ref().expect("parsed back");
         assert_eq!(table.id, "T1");
         assert_eq!(table.title, "from child");
         assert_eq!(table.rows, vec![vec!["7".to_owned()]]);
-        let _ = std::fs::remove_dir_all(root);
     }
 
-    #[cfg(unix)]
     #[test]
     fn isolated_deadline_kills_the_child_for_real() {
-        let iso = sh_isolation("sleep 30", "deadline");
-        let root = iso.handoff_root.clone();
         let opts = SuiteOptions {
             keep_going: true,
             deadline_override: Some(Duration::from_millis(200)),
-            isolation: Some(iso),
-            ..Default::default()
+            ..sh_opts("sleep 30", "deadline")
         };
         let reg = toy_registry();
         let start = Instant::now();
-        let report = run_suite(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts);
         assert!(
             start.elapsed() < Duration::from_secs(10),
             "the 30 s sleeper must not hold the suite"
         );
-        match &report.records[0].status {
-            RunStatus::TimedOut { deadline, detached } => {
-                assert_eq!(*deadline, Duration::from_millis(200));
-                assert!(!*detached, "a killed child leaks nothing");
+        assert_eq!(
+            report.records[0].status,
+            RunStatus::TimedOut {
+                deadline: Duration::from_millis(200)
             }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(root);
+        );
+        assert!(report.records[0].duration >= Duration::from_millis(200));
     }
 
-    #[cfg(unix)]
     #[test]
     fn isolated_crash_reports_the_exit_code() {
-        let iso = sh_isolation("exit 7", "crash");
-        let root = iso.handoff_root.clone();
         let opts = SuiteOptions {
             keep_going: true,
-            isolation: Some(iso),
-            ..Default::default()
+            ..sh_opts("exit 7", "crash")
         };
         let reg = toy_registry();
-        let report = run_suite(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts);
         assert_eq!(
             report.records[0].status,
             RunStatus::Failed {
                 message: "worker exited with code 7".into()
             }
         );
-        let _ = std::fs::remove_dir_all(root);
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn isolated_panic_file_preserves_the_message() {
-        // A worker that panics writes <slug>.panic.txt and exits 101;
-        // the manifest must carry the original message, exactly as the
-        // in-process path does.
-        let script = r#"printf 'chaos probe: injected panic' > "$3/$1.panic.txt"; exit 101"#;
-        let iso = sh_isolation(script, "panic");
-        let root = iso.handoff_root.clone();
-        let opts = SuiteOptions {
-            keep_going: true,
-            isolation: Some(iso),
-            ..Default::default()
-        };
-        let reg = toy_registry();
-        let report = run_suite(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts, |_| {});
-        assert_eq!(
-            report.records[0].status,
-            RunStatus::Failed {
-                message: "chaos probe: injected panic".into()
-            }
-        );
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[cfg(unix)]
     #[test]
     fn isolated_clean_exit_without_artifact_is_a_failure() {
-        let iso = sh_isolation("exit 0", "no-artifact");
-        let root = iso.handoff_root.clone();
         let opts = SuiteOptions {
             keep_going: true,
-            isolation: Some(iso),
-            ..Default::default()
+            ..sh_opts("exit 0", "no-artifact")
         };
         let reg = toy_registry();
-        let report = run_suite(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts);
         match &report.records[0].status {
             RunStatus::Failed { message } => {
                 assert!(message.contains("no readable artifact"), "{message}");
             }
             other => panic!("expected failure, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
     fn spawn_failure_is_contained_not_fatal() {
-        let iso = Isolation {
-            spec: WorkerSpec {
-                exe: PathBuf::from("/nonexistent/experiments-binary"),
-                base_args: vec![],
-            },
-            budgets: ResourceBudgets::default(),
-            handoff_root: std::env::temp_dir().join("autosec-suite-iso-spawnfail"),
-        };
-        let root = iso.handoff_root.clone();
-        let opts = SuiteOptions {
+        let mut opts = SuiteOptions {
             keep_going: true,
-            isolation: Some(iso),
-            ..Default::default()
+            ..sh_opts("", "spawnfail")
         };
+        opts.isolation.spec.exe = PathBuf::from("/nonexistent/experiments-binary");
         let reg = toy_registry();
-        let report = run_suite(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts, |_| {});
+        let report = run(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts);
         match &report.records[0].status {
             RunStatus::Failed { message } => {
                 assert!(message.contains("worker spawn failed"), "{message}");
             }
             other => panic!("expected failure, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -149,16 +149,20 @@ impl SecOcAuthenticator {
     }
 
     /// Reconstructs the most plausible full freshness value from the
-    /// truncated bits, given the receiver's last accepted value.
-    fn reconstruct_freshness(&self, truncated: u64, attempt: u8) -> u64 {
+    /// truncated bits, given the receiver's last accepted value. `None`
+    /// when the candidate would pass `u64::MAX`, a value no sender can
+    /// have used (a hostile PDU can carry any truncated value).
+    fn reconstruct_freshness(&self, truncated: u64, attempt: u8) -> Option<u64> {
         let bits = u32::from(self.cfg.freshness_tx_bits.min(63));
         let window = 1u64 << bits;
         let base = (self.freshness >> bits) << bits;
         let mut candidate = base | truncated;
         if candidate <= self.freshness {
-            candidate += window;
+            candidate = candidate.checked_add(window)?;
         }
-        candidate + u64::from(attempt) * window
+        u64::from(attempt)
+            .checked_mul(window)
+            .and_then(|step| candidate.checked_add(step))
     }
 
     /// Verifies a PDU, returning the authentic payload.
@@ -181,7 +185,11 @@ impl SecOcAuthenticator {
             return Err(ProtoError::Malformed);
         }
         for attempt in 0..self.cfg.resync_attempts {
-            let candidate = self.reconstruct_freshness(pdu.truncated_freshness, attempt);
+            // Later attempts only grow, so the first overflow ends the search.
+            let Some(candidate) = self.reconstruct_freshness(pdu.truncated_freshness, attempt)
+            else {
+                break;
+            };
             let expect = self.truncated_mac(&pdu.payload, candidate);
             if autosec_crypto::util::ct_eq(&expect, &pdu.truncated_mac) {
                 self.freshness = candidate;
@@ -238,6 +246,14 @@ mod tests {
         let (mut tx, mut rx) = pair();
         let mut pdu = tx.protect(b"brake=0").unwrap();
         pdu.payload = b"brake=1".to_vec();
+        assert_eq!(rx.verify(&pdu).unwrap_err(), ProtoError::AuthFailed);
+    }
+
+    #[test]
+    fn freshness_at_the_top_of_the_range_is_rejected_not_overflowed() {
+        let (mut tx, mut rx) = pair();
+        let mut pdu = tx.protect(b"cmd").unwrap();
+        pdu.truncated_freshness = u64::MAX;
         assert_eq!(rx.verify(&pdu).unwrap_err(), ProtoError::AuthFailed);
     }
 

@@ -4,14 +4,19 @@
 //! streams (the hermetic build has no proptest), with one forked
 //! substream per case so failures reproduce exactly.
 
+use std::collections::BTreeSet;
+use std::time::Duration;
+
 use autosec::crypto::{AesGcm, Cmac, HmacSha256, MerkleTree, Sha256};
 use autosec::fleet::{FleetConfig, FleetEngine};
-use autosec::ivn::can::{CanFrame, CanId};
+use autosec::ivn::can::{CanFrame, CanId, CanXlFrame, SDT_ETHERNET};
 use autosec::secproto::canal::{CanalReceiver, CanalSender};
-use autosec::secproto::macsec::{MacsecMode, MacsecRx, MacsecTx};
-use autosec::secproto::secoc::{SecOcAuthenticator, SecOcConfig};
+use autosec::secproto::cansec::{CansecRx, CansecTx};
+use autosec::secproto::macsec::{MacsecFrame, MacsecMode, MacsecRx, MacsecTx};
+use autosec::secproto::secoc::{SecOcAuthenticator, SecOcConfig, SecOcPdu};
 use autosec::sim::SimRng;
 use autosec::ssi::did::{Did, DidDocument};
+use autosec_runner::{ArtifactStore, ExperimentRecord, ResumeState, RunManifest, Table};
 use rand::{Rng, RngCore};
 
 const CASES: u64 = 48;
@@ -26,6 +31,18 @@ fn arr<const N: usize>(rng: &mut SimRng) -> [u8; N] {
     let mut a = [0u8; N];
     rng.fill_bytes(&mut a);
     a
+}
+
+/// Truncates `src` or flips one of its bits, chosen by `rng`.
+fn truncate_or_flip(rng: &mut SimRng, src: &[u8]) -> Vec<u8> {
+    let mut out = src.to_vec();
+    if rng.gen_bool(0.5) {
+        out.truncate(rng.gen_range(0usize..src.len()));
+    } else {
+        let bit = rng.gen_range(0usize..src.len() * 8);
+        out[bit / 8] ^= 1 << (bit % 8);
+    }
+    out
 }
 
 /// CANAL segmentation/reassembly is the identity for any SDU.
@@ -245,14 +262,7 @@ fn json_parser_survives_truncation_and_bitflips() {
     let mut parsed = 0;
     for case in 0..2_000u64 {
         let mut rng = root.fork_idx(case);
-        let src = sources[(case % 2) as usize];
-        let mut input = src.to_vec();
-        if rng.gen_bool(0.5) {
-            input.truncate(rng.gen_range(0usize..src.len()));
-        } else {
-            let bit = rng.gen_range(0usize..src.len() * 8);
-            input[bit / 8] ^= 1 << (bit % 8);
-        }
+        let input = truncate_or_flip(&mut rng, sources[(case % 2) as usize]);
         // `from_str` takes `&str`; a flip that breaks UTF-8 never
         // reaches the parser.
         if let Ok(text) = std::str::from_utf8(&input) {
@@ -261,4 +271,171 @@ fn json_parser_survives_truncation_and_bitflips() {
         }
     }
     assert!(parsed > 1_500, "only {parsed} of 2000 cases were UTF-8");
+}
+
+/// `ResumeState` reads a manifest back from disk for `--resume`. A
+/// truncated or bit-flipped manifest must never panic the loader, and
+/// no state loaded from it may reuse more than the original run's `ok`
+/// artifacts — the only ones on disk.
+#[test]
+fn resume_state_survives_mutated_manifests() {
+    let dir = std::env::temp_dir().join("autosec-properties-resume-fuzz");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::create(&dir).expect("create dir");
+    let ok = |slug: &str, id: &str| {
+        let mut table = Table::new(id, "demo", &["a"]);
+        table.push_row(vec!["1".into()]);
+        ExperimentRecord::ok(slug, id, Duration::from_millis(3), table)
+    };
+    let manifest = RunManifest {
+        seed: 42,
+        jobs: 2,
+        trials_scale: 0.5,
+        filter: Some("E1,tag:phy".into()),
+        records: vec![
+            ok("e1-depth", "E1"),
+            ExperimentRecord::failed("e2-lrp", "E2", Duration::ZERO, "boom".into()),
+            ok("e3-tech", "E3"),
+            ExperimentRecord::timed_out(
+                "e4-slow",
+                "E4",
+                Duration::from_secs(2),
+                Duration::from_secs(1),
+            ),
+        ],
+    };
+    let path = store.write_run(&manifest).expect("write");
+    let original = ResumeState::load(&dir).expect("the real manifest loads");
+    let ok_slugs: BTreeSet<String> = ["e1-depth", "e3-tech"].map(String::from).into();
+    assert!(original.compatible_with(42, 0.5, &["tag:phy", "E1"]));
+    assert_eq!(original.reusable(&dir), ok_slugs);
+    assert_eq!(original.failed, ["e2-lrp", "e4-slow"]);
+
+    let src = std::fs::read(&path).expect("read manifest");
+    let mutated = dir.join("mutated.json");
+    let root = SimRng::seed(0x2E_5E3E);
+    let mut loaded = 0;
+    for case in 0..2_000u64 {
+        let mut rng = root.fork_idx(case);
+        std::fs::write(&mutated, truncate_or_flip(&mut rng, &src)).expect("write");
+        let Some(state) = ResumeState::load_manifest(&mutated) else {
+            continue;
+        };
+        loaded += 1;
+        if state.compatible_with(state.seed, state.trials_scale, &["E1", "tag:phy"]) {
+            let reused = state.reusable(&dir);
+            assert!(reused.is_subset(&ok_slugs), "case {case}: {reused:?}");
+        }
+    }
+    assert!(loaded > 100, "only {loaded} of 2000 mutations loaded");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The secure-transport receivers take frames off a bus an attacker
+/// can write to. Random frames and bit-flipped genuine ones must get
+/// `Ok` or `Err` from every decoder, never a panic.
+#[test]
+fn frame_decoders_survive_hostile_frames() {
+    let key = [9u8; 16];
+    let secoc_cfg = SecOcConfig::default();
+    let mut macsec_tx = MacsecTx::new(key, 1, MacsecMode::AuthenticatedEncryption);
+    let mut cansec_tx = CansecTx::new(key, 1, false);
+    let mut secoc_tx = SecOcAuthenticator::new_sender(secoc_cfg, key, 0x100);
+    let mut canal = CanalReceiver::new();
+    let mut macsec = MacsecRx::new(key, 1).with_replay_window(8);
+    let mut cansec = CansecRx::new(key, 1);
+    let mut secoc = SecOcAuthenticator::new_receiver(secoc_cfg, key, 0x100);
+
+    let root = SimRng::seed(0xF4_A3E5);
+    for case in 0..2_000u64 {
+        let mut rng = root.fork_idx(case);
+        let genuine = rng.gen_bool(0.5);
+        let payload = {
+            let len = rng.gen_range(1usize..96);
+            bytes(&mut rng, len)
+        };
+
+        // CANAL reassembly over random XL frames, or over a genuine
+        // segmentation with one segment truncated or bit-flipped.
+        let frames = if genuine {
+            let mtu = rng.gen_range(16usize..64);
+            let mut frames = CanalSender::new(0x40, 1, mtu).segment(&payload);
+            let i = rng.gen_range(0..frames.len());
+            let f = &frames[i];
+            let data = truncate_or_flip(&mut rng, f.data());
+            if !data.is_empty() {
+                frames[i] = CanXlFrame::new(0x40, f.sdt(), f.vcid(), 0, &data).expect("valid");
+            }
+            frames
+        } else {
+            let sdt = if rng.gen_bool(0.9) {
+                SDT_ETHERNET
+            } else {
+                rng.gen()
+            };
+            let frame = CanXlFrame::new(rng.gen_range(0..0x800), sdt, rng.gen(), 0, &payload);
+            vec![frame.expect("valid")]
+        };
+        for f in &frames {
+            let _ = canal.push(f);
+        }
+
+        // MACsec: a mutated genuine frame, or random SCI/PN/mode/data.
+        let frame = if genuine {
+            let mut f = macsec_tx.protect(&payload).expect("fresh pn");
+            f.secure_data = truncate_or_flip(&mut rng, &f.secure_data);
+            f
+        } else {
+            MacsecFrame {
+                sci: if rng.gen_bool(0.9) { 1 } else { rng.next_u64() },
+                pn: rng.next_u64() as u32,
+                mode: if rng.gen_bool(0.5) {
+                    MacsecMode::AuthenticatedEncryption
+                } else {
+                    MacsecMode::IntegrityOnly
+                },
+                secure_data: payload.clone(),
+            }
+        };
+        let _ = macsec.verify(&frame);
+
+        // CANsec: a mutated genuine frame, or a random XL payload.
+        let data = if genuine {
+            let f = cansec_tx.protect(0x40, 0, &payload).expect("fits XL");
+            truncate_or_flip(&mut rng, f.data())
+        } else {
+            payload.clone()
+        };
+        if let Ok(frame) = CanXlFrame::new(0x40, 0x04, rng.gen(), 0, &data) {
+            let _ = cansec.verify(&frame);
+        }
+
+        // SECOC: a mutated genuine PDU, or random fields — including
+        // freshness values at both ends of the u64 range.
+        let pdu = if genuine {
+            let mut pdu = secoc_tx.protect(&payload).expect("fresh counter");
+            pdu.truncated_mac = truncate_or_flip(&mut rng, &pdu.truncated_mac);
+            pdu
+        } else {
+            let edge = rng.gen_range(0u64..512);
+            SecOcPdu {
+                data_id: if rng.gen_bool(0.9) {
+                    0x100
+                } else {
+                    rng.next_u64() as u16
+                },
+                truncated_freshness: match rng.gen_range(0..3) {
+                    0 => edge,
+                    1 => u64::MAX - edge,
+                    _ => rng.next_u64(),
+                },
+                truncated_mac: {
+                    let len = rng.gen_range(0usize..6);
+                    bytes(&mut rng, len)
+                },
+                payload,
+            }
+        };
+        let _ = secoc.verify(&pdu);
+    }
 }
