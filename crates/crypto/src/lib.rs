@@ -17,7 +17,7 @@
 //! - [`cmac`] — NIST SP 800-38B / RFC 4493 AES-CMAC
 //! - [`gcm`] — NIST SP 800-38D AES-GCM AEAD
 //! - [`merkle`] — binary Merkle trees with membership proofs
-//! - [`ots`] — Lamport and Winternitz (WOTS) one-time signatures
+//! - [`ots`] — Winternitz (WOTS) one-time signatures
 //! - [`mss`] — Merkle many-time signature scheme (XMSS-style, stateful)
 //! - [`shamir`] — Shamir secret sharing over GF(2^8) (SeeMQTT substrate)
 //!
@@ -68,7 +68,7 @@ pub use hkdf::Hkdf;
 pub use hmac::HmacSha256;
 pub use merkle::{MerkleProof, MerkleTree};
 pub use mss::{MssKeyPair, MssPublicKey, MssSignature};
-pub use ots::{LamportKeyPair, WotsKeyPair, WotsPublicKey, WotsSignature};
+pub use ots::{WotsKeyPair, WotsPublicKey, WotsSignature};
 pub use sha256::Sha256;
 
 /// Errors produced by this crate.

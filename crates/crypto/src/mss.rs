@@ -109,17 +109,22 @@ impl MssKeyPair {
     ///
     /// # Panics
     ///
-    /// Panics if `height > 16` (65k signatures is plenty for simulation;
-    /// larger trees take noticeable time to build).
+    /// Panics if `height > 16`, as [`MssKeyPair::from_seed`] does.
     pub fn generate(rng: &mut dyn RngCore, height: u8) -> Self {
-        assert!(height <= 16, "MSS height {height} too large");
         let mut master_seed = [0u8; 32];
         rng.fill_bytes(&mut master_seed);
         Self::from_seed(master_seed, height)
     }
 
     /// Deterministic construction from a master seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `height > 16` (65k signatures is plenty for simulation;
+    /// larger trees take noticeable time to build), before anything is
+    /// allocated.
     pub fn from_seed(master_seed: Digest, height: u8) -> Self {
+        assert!(height <= 16, "MSS height {height} too large");
         let capacity = 1usize << height;
         let leaf_hashes: Vec<Digest> = (0..capacity)
             .map(|i| {
@@ -251,6 +256,18 @@ mod tests {
             "{}",
             sig.byte_len()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "MSS height 17 too large")]
+    fn from_seed_rejects_height_17() {
+        MssKeyPair::from_seed([0u8; 32], 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "MSS height 64 too large")]
+    fn from_seed_rejects_height_64() {
+        MssKeyPair::from_seed([0u8; 32], 64);
     }
 
     #[test]

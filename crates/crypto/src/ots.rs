@@ -1,14 +1,21 @@
-//! Hash-based one-time signatures: Lamport and Winternitz (WOTS).
+//! Hash-based one-time signatures: Winternitz (WOTS).
 //!
-//! These replace elliptic-curve signatures in the SSI substitution (see
+//! They replace elliptic-curve signatures in the SSI substitution (see
 //! `DESIGN.md`): correct-by-construction from SHA-256, genuinely
 //! unforgeable, and simple enough to implement from scratch with
 //! confidence. Each key pair must sign **at most one** message — the
 //! stateful wrapper in [`crate::mss`] lifts them to many-time keys.
+//!
+//! Every hash in a chain is of a message that fits one SHA-256 block, so
+//! the chains run on the fixed-layout one-block path of
+//! [`crate::sha256`], and [`WotsKeyPair::from_seed`] walks its chains
+//! two at a time, one per lane.
 
 use rand::RngCore;
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{
+    digest_blocks, digest_state, one_block, state_digest, Digest, Sha256, State, WordBlock,
+};
 use crate::CryptoError;
 
 /// Winternitz parameter: digits are base-16 (4 bits per chain step).
@@ -19,88 +26,6 @@ pub const WOTS_MSG_CHAINS: usize = 64;
 pub const WOTS_CSUM_CHAINS: usize = 3;
 /// Total chains per key.
 pub const WOTS_CHAINS: usize = WOTS_MSG_CHAINS + WOTS_CSUM_CHAINS;
-
-/// A Lamport one-time key pair (two 32-byte secrets per message bit).
-///
-/// Kept mainly as the pedagogically simplest scheme and for the E8
-/// overhead comparison; WOTS is what [`crate::mss`] uses (16x smaller
-/// signatures).
-#[derive(Clone)]
-pub struct LamportKeyPair {
-    sk: Box<[[Digest; 2]; 256]>,
-    pk: Box<[[Digest; 2]; 256]>,
-    used: bool,
-}
-
-impl std::fmt::Debug for LamportKeyPair {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LamportKeyPair")
-            .field("used", &self.used)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A Lamport signature: one revealed preimage per message bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LamportSignature {
-    reveals: Vec<Digest>, // 256 entries
-}
-
-impl LamportKeyPair {
-    /// Generates a key pair from an RNG.
-    pub fn generate(rng: &mut dyn RngCore) -> Self {
-        let mut sk = Box::new([[[0u8; 32]; 2]; 256]);
-        let mut pk = Box::new([[[0u8; 32]; 2]; 256]);
-        for i in 0..256 {
-            for b in 0..2 {
-                rng.fill_bytes(&mut sk[i][b]);
-                pk[i][b] = Sha256::digest(&sk[i][b]);
-            }
-        }
-        Self {
-            sk,
-            pk,
-            used: false,
-        }
-    }
-
-    /// Signs `message` (hashed internally). One-time: a second call fails.
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::KeyExhausted`] if this key already signed.
-    pub fn sign(&mut self, message: &[u8]) -> Result<LamportSignature, CryptoError> {
-        if self.used {
-            return Err(CryptoError::KeyExhausted);
-        }
-        self.used = true;
-        let digest = Sha256::digest(message);
-        let mut reveals = Vec::with_capacity(256);
-        for i in 0..256 {
-            let bit = (digest[i / 8] >> (7 - i % 8)) & 1;
-            reveals.push(self.sk[i][bit as usize]);
-        }
-        Ok(LamportSignature { reveals })
-    }
-
-    /// Verifies `sig` over `message` against this key pair's public half.
-    pub fn verify(&self, message: &[u8], sig: &LamportSignature) -> bool {
-        if sig.reveals.len() != 256 {
-            return false;
-        }
-        let digest = Sha256::digest(message);
-        for i in 0..256 {
-            let bit = (digest[i / 8] >> (7 - i % 8)) & 1;
-            if Sha256::digest(&sig.reveals[i]) != self.pk[i][bit as usize] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Signature size in bytes.
-    pub const SIGNATURE_BYTES: usize = 256 * 32;
-}
 
 /// Splits a digest into 64 base-16 digits plus 3 checksum digits.
 fn wots_digits(digest: &Digest) -> [u8; WOTS_CHAINS] {
@@ -120,15 +45,52 @@ fn wots_digits(digest: &Digest) -> [u8; WOTS_CHAINS] {
     out
 }
 
-/// Applies the WOTS chain function `n` times: `H(chain_idx || step || x)`
-/// with positional domain separation so chains cannot be spliced.
+/// The chain message `0x02 ‖ chain_idx:u16 ‖ step ‖ acc` (36 bytes) as
+/// its padded block. `acc` fills words 1–8, so the padding and the
+/// 288-bit length field are constants.
+fn chain_block(chain_idx: usize, step: u8, acc: &State) -> WordBlock {
+    let [idx_hi, idx_lo] = (chain_idx as u16).to_be_bytes();
+    let mut block = [0u32; 16];
+    block[0] = u32::from_be_bytes([0x02, idx_hi, idx_lo, step]);
+    block[1..9].copy_from_slice(acc);
+    block[9] = 0x8000_0000;
+    block[15] = 36 * 8;
+    block
+}
+
+/// The secret derivation message `0x03 ‖ seed ‖ i:u16` (35 bytes) as
+/// its padded block.
+fn secret_block(seed: &Digest, i: usize) -> WordBlock {
+    let mut msg = [0u8; 35];
+    msg[0] = 0x03;
+    msg[1..33].copy_from_slice(seed);
+    msg[33..].copy_from_slice(&(i as u16).to_be_bytes());
+    one_block(&msg)
+}
+
+/// Applies the WOTS chain function `steps` times:
+/// `H(0x02 || chain_idx || step || x)` with positional domain
+/// separation so chains cannot be spliced.
 fn chain(start: &Digest, chain_idx: usize, from_step: u8, steps: u8) -> Digest {
-    let mut acc = *start;
-    for s in 0..steps {
-        let step = from_step + s;
-        acc = Sha256::digest_parts(&[&[0x02], &(chain_idx as u16).to_be_bytes(), &[step], &acc]);
+    let mut acc = digest_state(start);
+    for step in from_step..from_step + steps {
+        [acc] = digest_blocks(&[chain_block(chain_idx, step, &acc)]);
     }
-    acc
+    state_digest(&acc)
+}
+
+/// The secrets and chain heads of the `N` chains from `first`: derives
+/// each secret from `seed` and walks the chains to their heads
+/// together, one lane each.
+fn secrets_and_heads<const N: usize>(seed: &Digest, first: usize) -> [(Digest, Digest); N] {
+    let secrets = digest_blocks::<N>(&std::array::from_fn(|l| secret_block(seed, first + l)));
+    let mut acc = secrets;
+    for step in 0..(WOTS_W - 1) as u8 {
+        acc = digest_blocks(&std::array::from_fn(|l| {
+            chain_block(first + l, step, &acc[l])
+        }));
+    }
+    std::array::from_fn(|l| (state_digest(&secrets[l]), state_digest(&acc[l])))
 }
 
 /// A WOTS public key: the 67 chain heads, plus a compact digest.
@@ -231,13 +193,14 @@ impl WotsKeyPair {
     /// Deterministic generation from a 32-byte seed (used by [`crate::mss`]
     /// so leaves can be regenerated instead of stored).
     pub fn from_seed(seed: &Digest) -> Self {
-        let mut sk = Vec::with_capacity(WOTS_CHAINS);
-        let mut heads = Vec::with_capacity(WOTS_CHAINS);
-        for i in 0..WOTS_CHAINS {
-            let secret = Sha256::digest_parts(&[&[0x03], seed, &(i as u16).to_be_bytes()]);
-            heads.push(chain(&secret, i, 0, (WOTS_W - 1) as u8));
-            sk.push(secret);
+        let mut chains = Vec::with_capacity(WOTS_CHAINS);
+        for first in (0..WOTS_CHAINS - 1).step_by(2) {
+            chains.extend(secrets_and_heads::<2>(seed, first));
         }
+        if WOTS_CHAINS % 2 == 1 {
+            chains.extend(secrets_and_heads::<1>(seed, WOTS_CHAINS - 1));
+        }
+        let (sk, heads) = chains.into_iter().unzip();
         Self {
             sk,
             pk: WotsPublicKey { heads },
@@ -277,33 +240,10 @@ impl WotsKeyPair {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
-    }
-
-    #[test]
-    fn lamport_round_trip() {
-        let mut kp = LamportKeyPair::generate(&mut rng());
-        let sig = kp.sign(b"message").unwrap();
-        assert!(kp.verify(b"message", &sig));
-        assert!(!kp.verify(b"other", &sig));
-    }
-
-    #[test]
-    fn lamport_is_one_time() {
-        let mut kp = LamportKeyPair::generate(&mut rng());
-        kp.sign(b"first").unwrap();
-        assert_eq!(kp.sign(b"second").unwrap_err(), CryptoError::KeyExhausted);
-    }
-
-    #[test]
-    fn lamport_rejects_bitflipped_signature() {
-        let mut kp = LamportKeyPair::generate(&mut rng());
-        let mut sig = kp.sign(b"m").unwrap();
-        sig.reveals[0][0] ^= 1;
-        assert!(!kp.verify(b"m", &sig));
     }
 
     #[test]
@@ -357,7 +297,6 @@ mod tests {
         let mut kp = WotsKeyPair::generate(&mut rng());
         let sig = kp.sign(b"m").unwrap();
         assert_eq!(sig.byte_len(), WOTS_CHAINS * 32); // 2144 bytes
-        assert!(sig.byte_len() < LamportKeyPair::SIGNATURE_BYTES / 3);
     }
 
     #[test]
@@ -366,6 +305,111 @@ mod tests {
         let kp2 = WotsKeyPair::generate(&mut StdRng::seed_from_u64(2));
         let sig = kp1.sign(b"m").unwrap();
         assert!(!kp2.public_key().verify(b"m", &sig));
+    }
+
+    /// One chain step as the specification writes it, through the
+    /// streaming hasher: `H(0x02 ‖ chain_idx ‖ step ‖ acc)`.
+    fn reference_step(chain_idx: usize, step: u8, acc: &Digest) -> Digest {
+        Sha256::digest_parts(&[&[0x02], &(chain_idx as u16).to_be_bytes(), &[step], acc])
+    }
+
+    /// The secret of chain `i`: `H(0x03 ‖ seed ‖ i)`.
+    fn reference_secret(seed: &Digest, i: usize) -> Digest {
+        Sha256::digest_parts(&[&[0x03], seed, &(i as u16).to_be_bytes()])
+    }
+
+    /// The secrets and heads of the WOTS key for `seed`, built only from
+    /// `digest_parts`.
+    fn reference_from_seed(seed: &Digest) -> (Vec<Digest>, Vec<Digest>) {
+        (0..WOTS_CHAINS)
+            .map(|i| {
+                let secret = reference_secret(seed, i);
+                let head =
+                    (0..(WOTS_W - 1) as u8).fold(secret, |acc, step| reference_step(i, step, &acc));
+                (secret, head)
+            })
+            .unzip()
+    }
+
+    /// The MSS root for `master` at `height`, built only from
+    /// `digest_parts`: leaf seed, WOTS key, public-key digest, leaf hash,
+    /// then interior nodes up a complete tree.
+    fn reference_mss_root(master: &Digest, height: u8) -> Digest {
+        let mut level: Vec<Digest> = (0..1u64 << height)
+            .map(|index| {
+                let leaf_seed = Sha256::digest_parts(&[&[0x04], master, &index.to_be_bytes()]);
+                let (_, heads) = reference_from_seed(&leaf_seed);
+                let heads: Vec<&[u8]> = heads.iter().map(|h| h.as_slice()).collect();
+                Sha256::digest_parts(&[&[0x00], &Sha256::digest_parts(&heads)])
+            })
+            .collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| Sha256::digest_parts(&[&[0x01], &pair[0], &pair[1]]))
+                .collect();
+        }
+        level[0]
+    }
+
+    #[test]
+    fn chain_step_matches_the_streaming_hasher() {
+        let mut rng = StdRng::seed_from_u64(67);
+        for chain_idx in 0..WOTS_CHAINS {
+            for step in 0..WOTS_W as u8 {
+                let mut acc = [0u8; 32];
+                rng.fill_bytes(&mut acc);
+                let want = reference_step(chain_idx, step, &acc);
+                let [state] = digest_blocks(&[chain_block(chain_idx, step, &digest_state(&acc))]);
+                assert_eq!(state_digest(&state), want, "chain {chain_idx} step {step}");
+                assert_eq!(chain(&acc, chain_idx, step, 1), want);
+            }
+        }
+    }
+
+    #[test]
+    fn secret_step_matches_the_streaming_hasher() {
+        let mut rng = StdRng::seed_from_u64(35);
+        for i in 0..WOTS_CHAINS {
+            let mut seed = [0u8; 32];
+            rng.fill_bytes(&mut seed);
+            let [state] = digest_blocks(&[secret_block(&seed, i)]);
+            assert_eq!(
+                state_digest(&state),
+                reference_secret(&seed, i),
+                "chain {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn from_seed_matches_the_digest_parts_reference() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..8 {
+            let mut seed = [0u8; 32];
+            rng.fill_bytes(&mut seed);
+            let (secrets, heads) = reference_from_seed(&seed);
+            let kp = WotsKeyPair::from_seed(&seed);
+            assert_eq!(kp.sk, secrets);
+            assert_eq!(kp.pk.heads, heads);
+        }
+    }
+
+    #[test]
+    fn mss_roots_match_the_digest_parts_reference() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for height in 0..=6 {
+            for _ in 0..3 {
+                let mut master = [0u8; 32];
+                rng.fill_bytes(&mut master);
+                let kp = crate::mss::MssKeyPair::from_seed(master, height);
+                assert_eq!(
+                    *kp.public_key().as_bytes(),
+                    reference_mss_root(&master, height),
+                    "height {height}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,14 @@
 //! SHA-256 (FIPS 180-4), streaming and one-shot.
+//!
+//! Besides the [`Sha256`] hasher, the module has a crate-private
+//! fixed-layout path for messages of at most 55 bytes, which pad to
+//! exactly one block: the caller lays each message out as a `WordBlock`,
+//! and `digest_blocks` compresses several independent ones once each
+//! from the initial state, with no streaming buffer. On the SHA
+//! extensions the lanes' rounds are issued back to back so that their
+//! latencies overlap; elsewhere each lane runs the portable `compress`.
+//! The WOTS chains in [`crate::ots`] use it, and the tests check it
+//! against the portable function on random blocks.
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
@@ -115,6 +125,52 @@ impl Sha256 {
     }
 }
 
+/// A message of at most 55 bytes laid out as its one padded block, in
+/// big-endian words (message, `0x80`, zeros, 64-bit bit length).
+pub(crate) type WordBlock = [u32; 16];
+
+/// The SHA-256 state words; a digest is their big-endian bytes.
+pub(crate) type State = [u32; 8];
+
+/// Pads `msg` (at most 55 bytes) into one [`WordBlock`].
+pub(crate) fn one_block(msg: &[u8]) -> WordBlock {
+    assert!(msg.len() <= 55, "{} bytes do not fit one block", msg.len());
+    let mut bytes = [0u8; 64];
+    bytes[..msg.len()].copy_from_slice(msg);
+    bytes[msg.len()] = 0x80;
+    bytes[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+    block_words(&bytes)
+}
+
+/// The digest bytes of `state`.
+pub(crate) fn state_digest(state: &State) -> Digest {
+    let mut out = [0u8; 32];
+    for (chunk, w) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&w.to_be_bytes());
+    }
+    out
+}
+
+/// The state words of `digest`.
+pub(crate) fn digest_state(digest: &Digest) -> State {
+    std::array::from_fn(|i| u32::from_be_bytes(digest[i * 4..i * 4 + 4].try_into().unwrap()))
+}
+
+/// The digests, as state words, of `N` independent one-block messages:
+/// each block is compressed once from `H0`. On the SHA extensions the
+/// lanes run interleaved; otherwise each runs the portable [`compress`].
+pub(crate) fn digest_blocks<const N: usize>(blocks: &[WordBlock; N]) -> [State; N] {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(states) = shani::digest_blocks(blocks) {
+        return states;
+    }
+    blocks.map(|block| {
+        let mut state = H0;
+        compress_words(&mut state, &block);
+        state
+    })
+}
+
 /// Compresses whole blocks into `state`: on the SHA extensions when the
 /// CPU has them, otherwise with the portable [`compress`].
 fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
@@ -130,17 +186,20 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     }
 }
 
+/// The big-endian message words of `block`.
+fn block_words(block: &[u8; 64]) -> WordBlock {
+    std::array::from_fn(|i| u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap()))
+}
+
 /// The portable FIPS 180-4 compression function.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    compress_words(state, &block_words(block));
+}
+
+/// [`compress`] on a block already decoded into message words.
+fn compress_words(state: &mut [u32; 8], block: &WordBlock) {
     let mut w = [0u32; 64];
-    for i in 0..16 {
-        w[i] = u32::from_be_bytes([
-            block[i * 4],
-            block[i * 4 + 1],
-            block[i * 4 + 2],
-            block[i * 4 + 3],
-        ]);
-    }
+    w[..16].copy_from_slice(block);
     for i in 16..64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
         let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
@@ -180,28 +239,50 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// The compression function on the x86-64 SHA extensions. This module
+/// The compression function on the x86-64 SHA extensions: whole blocks
+/// into a state for [`super::compress_blocks`], and independent
+/// one-block lanes from `H0` for [`super::digest_blocks`], whose rounds
+/// are interleaved lane by lane. Both share one round loop, and the
+/// crypto tests check both against the portable `compress`. This module
 /// holds all of the crate's `unsafe` code.
 #[cfg(target_arch = "x86_64")]
 mod shani {
     use std::arch::x86_64::*;
+    use std::sync::OnceLock;
 
-    use super::K;
+    use super::{State, WordBlock, H0, K};
+
+    /// Whether this CPU has every feature the functions below enable,
+    /// detected on first use and then read from a cache.
+    fn detected() -> bool {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("sse2")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1")
+        })
+    }
 
     /// Compresses `blocks` into `state` and returns `true` if the CPU
     /// has the SHA extensions; returns `false`, leaving `state`
     /// untouched, if it does not.
     pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
-        let detected = is_x86_feature_detected!("sha")
-            && is_x86_feature_detected!("sse2")
-            && is_x86_feature_detected!("ssse3")
-            && is_x86_feature_detected!("sse4.1");
+        let detected = detected();
         if detected {
             // SAFETY: every feature `compress_blocks_ni` enables was
-            // detected on this CPU just above.
+            // detected on this CPU.
             unsafe { compress_blocks_ni(state, blocks) };
         }
         detected
+    }
+
+    /// The digests of `N` one-block messages as state words, or `None`
+    /// if the CPU lacks the SHA extensions.
+    pub(super) fn digest_blocks<const N: usize>(blocks: &[WordBlock; N]) -> Option<[State; N]> {
+        // SAFETY: every feature `digest_blocks_ni` enables was detected
+        // on this CPU.
+        detected().then(|| unsafe { digest_blocks_ni(blocks) })
     }
 
     /// Four rounds' message words: the next schedule quad from the
@@ -212,6 +293,75 @@ mod shani {
         _mm_sha256msg2_epu32(partial, w3)
     }
 
+    /// `state` as the `{A,B,E,F}` and `{C,D,G,H}` registers (lanes named
+    /// high to low) that `sha256rnds2` works on.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn load_state(state: &[u32; 8]) -> (__m128i, __m128i) {
+        // SAFETY: `state` is 32 bytes, so both 16-byte unaligned loads
+        // are in bounds.
+        let (dcba, hgfe) = unsafe {
+            let p = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        (
+            _mm_alignr_epi8(cdab, efgh, 8),
+            _mm_blend_epi16(efgh, cdab, 0xf0),
+        )
+    }
+
+    /// The inverse of [`load_state`].
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn store_state(state: &mut [u32; 8], abef: __m128i, cdgh: __m128i) {
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: as in `load_state`, both 16-byte stores are in bounds
+        // of the 32-byte `state`.
+        unsafe {
+            let p = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(p, dcba);
+            _mm_storeu_si128(p.add(1), hgfe);
+        }
+    }
+
+    /// The 64 rounds of one block in each of `N` lanes, without the
+    /// final feed-forward addition. `w` holds each lane's first four
+    /// message quads; the lanes' instructions are issued quad by quad,
+    /// back to back, so their latencies overlap.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    #[inline]
+    fn rounds<const N: usize>(
+        abef: &mut [__m128i; N],
+        cdgh: &mut [__m128i; N],
+        mut w: [[__m128i; 4]; N],
+    ) {
+        for quad in 0..16 {
+            // SAFETY: `quad < 16`, so `K[4 * quad..4 * quad + 4]` is in
+            // bounds of the 64-entry table.
+            let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * quad).cast()) };
+            for lane in 0..N {
+                // `w[lane]` is a window that ends in this quad's message
+                // words: the first four quads rotate through it, and
+                // each later one is scheduled from the four before it.
+                // Rotating values, not indexing a ring, keeps the
+                // window in registers.
+                let w = &mut w[lane];
+                *w = if quad < 4 {
+                    [w[1], w[2], w[3], w[0]]
+                } else {
+                    [w[1], w[2], w[3], schedule(w[0], w[1], w[2], w[3])]
+                };
+                let wk = _mm_add_epi32(w[3], k);
+                cdgh[lane] = _mm_sha256rnds2_epu32(cdgh[lane], abef[lane], wk);
+                abef[lane] =
+                    _mm_sha256rnds2_epu32(abef[lane], cdgh[lane], _mm_shuffle_epi32(wk, 0x0e));
+            }
+        }
+    }
+
     /// # Safety
     ///
     /// Callable only on a CPU with every feature it enables; calling it
@@ -220,60 +370,47 @@ mod shani {
     fn compress_blocks_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
         // Byte-swaps each 32-bit lane: message words are big-endian.
         let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        // SAFETY: `state` is 32 bytes, so both 16-byte unaligned loads
-        // are in bounds.
-        let (dcba, hgfe) = unsafe {
-            let p = state.as_ptr().cast::<__m128i>();
-            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
-        };
-        // `sha256rnds2` wants the state as {A,B,E,F} and {C,D,G,H}
-        // (lanes named high to low).
-        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
-        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
-
+        let (mut abef, mut cdgh) = load_state(state);
         for block in blocks {
-            let (abef_in, cdgh_in) = (abef, cdgh);
             // SAFETY: a block is 64 bytes, so the four 16-byte unaligned
             // loads at offsets 0, 16, 32 and 48 are in bounds.
-            let mut w = unsafe {
+            let w = unsafe {
                 let p = block.as_ptr().cast::<__m128i>();
                 [0, 1, 2, 3].map(|i| _mm_shuffle_epi8(_mm_loadu_si128(p.add(i)), bswap))
             };
-            for quad in 0..16 {
-                // `w` is a ring of the last four quads; slot `quad % 4`
-                // holds quad `quad - 4` until it is overwritten here.
-                if quad >= 4 {
-                    w[quad % 4] = schedule(
-                        w[quad % 4],
-                        w[(quad + 1) % 4],
-                        w[(quad + 2) % 4],
-                        w[(quad + 3) % 4],
-                    );
-                }
-                // SAFETY: `quad < 16`, so `K[4 * quad..4 * quad + 4]` is
-                // in bounds of the 64-entry table.
-                let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * quad).cast()) };
-                let wk = _mm_add_epi32(w[quad % 4], k);
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
-            }
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+            let (mut abef_out, mut cdgh_out) = ([abef], [cdgh]);
+            rounds(&mut abef_out, &mut cdgh_out, [w]);
+            abef = _mm_add_epi32(abef_out[0], abef);
+            cdgh = _mm_add_epi32(cdgh_out[0], cdgh);
         }
+        store_state(state, abef, cdgh);
+    }
 
-        let feba = _mm_shuffle_epi32(abef, 0x1b);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
-        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
-        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
-        // SAFETY: as for the loads above, both 16-byte stores are in
-        // bounds of the 32-byte `state`.
-        unsafe {
-            let p = state.as_mut_ptr().cast::<__m128i>();
-            _mm_storeu_si128(p, dcba);
-            _mm_storeu_si128(p.add(1), hgfe);
+    /// # Safety
+    ///
+    /// As for [`compress_blocks_ni`].
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn digest_blocks_ni<const N: usize>(blocks: &[WordBlock; N]) -> [State; N] {
+        let (abef0, cdgh0) = load_state(&H0);
+        let mut w = [[_mm_setzero_si128(); 4]; N];
+        for (quads, block) in w.iter_mut().zip(blocks) {
+            for (i, quad) in quads.iter_mut().enumerate() {
+                // SAFETY: a block is 16 words, so the 4-word unaligned
+                // loads at words 0, 4, 8 and 12 are in bounds.
+                *quad = unsafe { _mm_loadu_si128(block.as_ptr().add(4 * i).cast()) };
+            }
         }
+        let (mut abef, mut cdgh) = ([abef0; N], [cdgh0; N]);
+        rounds(&mut abef, &mut cdgh, w);
+        let mut states = [[0u32; 8]; N];
+        for (lane, state) in states.iter_mut().enumerate() {
+            store_state(
+                state,
+                _mm_add_epi32(abef[lane], abef0),
+                _mm_add_epi32(cdgh[lane], cdgh0),
+            );
+        }
+        states
     }
 }
 
@@ -406,6 +543,52 @@ mod tests {
                 assert_eq!(got, want, "{n} block(s)");
             }
         }
+    }
+
+    /// The portable digest state of one [`WordBlock`] from `H0`.
+    fn portable_block_state(block: &WordBlock) -> State {
+        let mut bytes = [0u8; 64];
+        for (chunk, w) in bytes.chunks_exact_mut(4).zip(block) {
+            chunk.copy_from_slice(&w.to_be_bytes());
+        }
+        let mut state = H0;
+        compress(&mut state, &bytes);
+        state
+    }
+
+    #[test]
+    fn digest_blocks_match_portable_compress_in_every_lane() {
+        // Random words, not only well-padded blocks: the lane path must
+        // agree with the portable function on any block, lane by lane,
+        // whether the lanes hold equal or differing blocks.
+        let mut rng = StdRng::seed_from_u64(16);
+        for _ in 0..256 {
+            let a: WordBlock = std::array::from_fn(|_| rng.next_u32());
+            let b: WordBlock = std::array::from_fn(|_| rng.next_u32());
+            let (want_a, want_b) = (portable_block_state(&a), portable_block_state(&b));
+            assert_eq!(digest_blocks(&[a]), [want_a]);
+            assert_eq!(digest_blocks(&[a, b]), [want_a, want_b]);
+            assert_eq!(digest_blocks(&[b, a]), [want_b, want_a]);
+            assert_eq!(digest_blocks(&[a, a]), [want_a, want_a]);
+        }
+    }
+
+    #[test]
+    fn one_block_path_matches_the_hasher_up_to_55_bytes() {
+        let mut rng = StdRng::seed_from_u64(55);
+        for len in 0..=55usize {
+            let mut msg = vec![0u8; len];
+            rng.fill_bytes(&mut msg);
+            let [state] = digest_blocks(&[one_block(&msg)]);
+            assert_eq!(state_digest(&state), Sha256::digest(&msg), "len {len}");
+            assert_eq!(digest_state(&state_digest(&state)), state);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "56 bytes do not fit one block")]
+    fn one_block_rejects_a_message_that_needs_two() {
+        one_block(&[0u8; 56]);
     }
 
     #[test]
