@@ -14,8 +14,8 @@
 //!   spent between ticks by a deterministic rule table reading the
 //!   tick's alert tallies, the census, and the backend breach flag.
 //!
-//! The closed-loop policy consumes **no RNG draws** and runs in the
-//! serial phase after the census is taken, so a defender-enabled run
+//! The closed-loop policy consumes **no RNG draws** and runs after the
+//! shard merge, on the merged census, so a defender-enabled run
 //! is exactly as shard-invariant as a plain one. A defender with zero
 //! budget can never act and is treated as [`DefenderMode::Off`]
 //! everywhere (config echo included), making `--defender closed-loop

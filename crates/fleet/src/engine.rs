@@ -1,7 +1,8 @@
 //! The fleet service engine: a tick-driven event loop over the whole
 //! vehicle population.
 //!
-//! Each tick runs three phases:
+//! Each tick is one parallel phase, an O(shards) merge, and one serial
+//! draw:
 //!
 //! 1. **Parallel vehicle phase** ([`run_tick_sharded`]) — every alive
 //!    vehicle ingests one telemetry frame and steps its state machine:
@@ -11,12 +12,16 @@
 //!    below); and epidemic V2X infection spreads with pressure
 //!    proportional to the previous tick's compromised fraction,
 //!    resolved against the calibrated ghost-object edge of the attack
-//!    graph.
-//! 2. **Serial response phase** — alerts (merged in vehicle order) feed
-//!    one shared [`ResponseEngine`]; containment actions are applied
-//!    back to the vehicles (filter/rekey relief, isolation,
-//!    limp-home), and verified repairs clear escalation state.
-//! 3. **Backend phase** — the Fig. 8 kill chain runs as a live breach
+//!    graph. Right after its step, each of the vehicle's alerts is
+//!    answered in the order raised: one more strike on the vehicle's
+//!    own strike column, the [`playbook`] action for that strike, and
+//!    the action applied back to the vehicle (filter/rekey relief,
+//!    isolation, limp-home); a verified repair then clears its strikes.
+//!    Each shard ends with the census of its window.
+//! 2. **Merge** — shard outputs fold in shard (= vehicle) order:
+//!    counters and status counts add, the health block sums fold in
+//!    block order (fixed blocks of 64 vehicles, `HEALTH_BLOCK`).
+//! 3. **Backend draw** — the Fig. 8 kill chain runs as a live breach
 //!    process on its own fleet-level RNG stream: while the backend is
 //!    breached, infection pressure doubles (bulk telemetry access).
 //!
@@ -44,7 +49,8 @@
 //!
 //! Vehicle `i` draws only from `root.fork("fleet/vehicles").fork_idx(i)`;
 //! tick inputs are pure functions of the *previous* tick's census;
-//! alerts are processed in vehicle order; the backend stream is
+//! a vehicle's alerts are answered from its own strike column, touching
+//! only its own columns and additive counters; the backend stream is
 //! engine-level; drift probes draw from their own `fork_idx(id)` /
 //! `fork_idx(tick)` substreams and are triggered by `(id, tick)`
 //! arithmetic, not by any global counter. Therefore a run is
@@ -59,8 +65,7 @@ use autosec_core::campaign::DefensePosture;
 use autosec_core::engine::{LiveScenarioEngine, OutcomeStats, ScenarioEngine, StepOutcomeTable};
 use autosec_core::scenario::PostureCtx;
 use autosec_faults::{detector_for, target_for, FaultPlan};
-use autosec_ids::response::{ResponseAction, ResponseEngine};
-use autosec_ids::Alert;
+use autosec_ids::response::{playbook, ResponseAction};
 use autosec_runner::{silence_panics, strip_volatile};
 use autosec_scengen::{generate, GenConfig, GeneratedCampaign};
 use autosec_sim::{ArchLayer, FaultEffect, SimDuration, SimRng, SimTime};
@@ -71,7 +76,7 @@ use crate::defender::{DefenderMode, FleetDefender, TickObservation};
 use crate::shard::{run_tick_sharded, ShardOutput};
 use crate::snapshot::{Census, FleetSnapshot, FleetTotals};
 use crate::state::{FleetColumns, FleetState};
-use crate::vehicle::{AlertKind, PendingAlert, VehicleStatus, ISOLATED_HEALTH, LIMP_HOME_HEALTH};
+use crate::vehicle::{VehicleStatus, ISOLATED_HEALTH, LIMP_HOME_HEALTH};
 
 /// Fraction of a degraded vehicle's health deficit removed by a
 /// filter/rekey containment action.
@@ -86,8 +91,6 @@ const REALERT_P: f64 = 0.3;
 /// Infection-pressure multiplier while the backend is breached (bulk
 /// telemetry access lets the attacker target V2X sessions).
 const BREACH_PRESSURE_MULT: f64 = 2.0;
-/// Response-history cap for the long-running engine.
-const HISTORY_CAP: usize = 4_096;
 
 /// Which tier of the two-tier scenario engine resolves direct attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,14 +320,6 @@ pub fn posture_label(p: &DefensePosture) -> String {
         .join("+")
 }
 
-/// Dense index of a layer in [`ArchLayer::ALL`].
-fn layer_index(layer: ArchLayer) -> usize {
-    ArchLayer::ALL
-        .iter()
-        .position(|&l| l == layer)
-        .expect("layer is in ALL")
-}
-
 /// Mixed-fidelity drift accounting: how often the table's resolution
 /// of an attack agreed with a shadow live replay of the same attack.
 ///
@@ -484,15 +479,16 @@ struct StepEnv<'a> {
     late_detect_p: f64,
 }
 
-/// One vehicle's tick: state machine + private RNG only. See the
-/// module docs for the phase ordering contract.
+/// One vehicle's tick: state machine + private RNG only. Its alerts
+/// go to `out.raised`, unanswered; returns whether its repair verified
+/// this tick. See the module docs for the phase ordering contract.
 fn step_vehicle(
     cols: &mut FleetColumns<'_>,
     i: usize,
     env: &StepEnv<'_>,
     inputs: &TickInputs,
     out: &mut ShardOutput,
-) {
+) -> bool {
     out.counters.telemetry_frames += 1;
     if env.cfg.chaos_lost_rate > 0.0 && cols.rng[i].chance(env.cfg.chaos_lost_rate) {
         panic!("chaos: vehicle {} state machine corrupted", cols.id(i));
@@ -518,12 +514,7 @@ fn step_vehicle(
                 }
                 if cols.rng[i].chance(onset.detect_p) {
                     cols.flagged[i] = true;
-                    out.alerts.push(PendingAlert {
-                        vehicle: cols.id(i),
-                        detector: detector_for(onset.layer),
-                        layer: onset.layer,
-                        kind: AlertKind::Fault,
-                    });
+                    out.raised.push(onset.layer);
                 }
             }
             // Rare direct attack. Generated-campaign mode walks one
@@ -552,12 +543,7 @@ fn step_vehicle(
                         }
                         if attempted && detected {
                             alerted = true;
-                            out.alerts.push(PendingAlert {
-                                vehicle: cols.id(i),
-                                detector: detector_for(edge.layer),
-                                layer: edge.layer,
-                                kind: AlertKind::Attack,
-                            });
+                            out.raised.push(edge.layer);
                         }
                     }
                     if owned.contains(goal) {
@@ -572,7 +558,7 @@ fn step_vehicle(
                     let layer = env.engine.step_layer(idx);
                     let ctx = PostureCtx {
                         posture: &env.posture,
-                        faults: &inputs.active_faults[layer_index(layer)],
+                        faults: &inputs.active_faults[layer as usize],
                     };
                     let outcome = env.engine.resolve(idx, &ctx, &mut cols.rng[i]);
                     // Mixed fidelity: shadow this resolution with a
@@ -596,12 +582,7 @@ fn step_vehicle(
                         cols.flagged[i] = outcome.detected;
                     }
                     if outcome.detected {
-                        out.alerts.push(PendingAlert {
-                            vehicle: cols.id(i),
-                            detector: detector_for(layer),
-                            layer,
-                            kind: AlertKind::Attack,
-                        });
+                        out.raised.push(layer);
                     }
                 }
             }
@@ -617,12 +598,7 @@ fn step_vehicle(
                 cols.compromise(i, inputs.tick, ArchLayer::Collaboration);
                 if cols.rng[i].chance(env.epi.detect) {
                     cols.flagged[i] = true;
-                    out.alerts.push(PendingAlert {
-                        vehicle: cols.id(i),
-                        detector: detector_for(ArchLayer::Collaboration),
-                        layer: ArchLayer::Collaboration,
-                        kind: AlertKind::Attack,
-                    });
+                    out.raised.push(ArchLayer::Collaboration);
                 }
             }
             // Flagged degraded vehicles self-repair (reconfigure +
@@ -634,7 +610,7 @@ fn step_vehicle(
                 out.counters.recoveries += 1;
                 out.counters.mttr_ticks += inputs.tick - cols.since[i];
                 cols.restore(i);
-                out.recovered.push(cols.id(i));
+                return true;
             }
         }
         VehicleStatus::Compromised => {
@@ -643,22 +619,12 @@ fn step_vehicle(
                 // eventually, faster under deeper postures.
                 if cols.rng[i].chance(env.late_detect_p) {
                     cols.flagged[i] = true;
-                    out.alerts.push(PendingAlert {
-                        vehicle: cols.id(i),
-                        detector: detector_for(cols.incident_layer[i]),
-                        layer: cols.incident_layer[i],
-                        kind: AlertKind::LateDetect,
-                    });
+                    out.raised.push(cols.incident_layer[i]);
                 }
             } else if cols.rng[i].chance(REALERT_P) {
                 // Known-compromised vehicles keep alerting until the
                 // playbook escalates to isolation.
-                out.alerts.push(PendingAlert {
-                    vehicle: cols.id(i),
-                    detector: detector_for(cols.incident_layer[i]),
-                    layer: cols.incident_layer[i],
-                    kind: AlertKind::LateDetect,
-                });
+                out.raised.push(cols.incident_layer[i]);
             }
         }
         VehicleStatus::Isolated => {
@@ -666,10 +632,33 @@ fn step_vehicle(
                 out.counters.recoveries += 1;
                 out.counters.mttr_ticks += inputs.tick - cols.since[i];
                 cols.restore(i);
-                out.recovered.push(cols.id(i));
+                return true;
             }
         }
         VehicleStatus::Lost => {}
+    }
+    false
+}
+
+/// Answers vehicle `i`'s alerts of this tick in the order raised (one
+/// more strike, its [`playbook`] action, the action applied), then
+/// clears its strikes if its repair verified this tick.
+fn answer_alerts(
+    cols: &mut FleetColumns<'_>,
+    i: usize,
+    tick: u64,
+    recovered: bool,
+    out: &mut ShardOutput,
+) {
+    for layer in out.raised.drain(..) {
+        out.counters.alerts += 1;
+        out.layer_alerts[layer as usize] += 1;
+        cols.strikes[i] += 1;
+        let action = playbook(detector_for(layer), cols.strikes[i]);
+        apply_response(cols, i, action, tick, &mut out.counters);
+    }
+    if recovered {
+        cols.strikes[i] = 0;
     }
 }
 
@@ -866,7 +855,6 @@ impl FleetEngine {
         let (mut epi, mut late_detect_p, mut kc_success, mut kc_detect) =
             derived_rates(&graph, &posture);
 
-        let mut responder = ResponseEngine::with_history_cap(HISTORY_CAP);
         let mut backend_rng = SimRng::seed(cfg.seed).fork("fleet/backend");
         let mut breached = false;
         let mut totals = FleetTotals::default();
@@ -893,39 +881,24 @@ impl FleetEngine {
                 late_detect_p: late_detect_p + defender.monitor_boost(),
             };
 
-            // Phase 1: parallel vehicle phase.
+            // Phase 1: the parallel phase — step, answer, census.
             let outs = run_tick_sharded(&mut state, cfg.shards, tick, |cols, i, out| {
-                step_vehicle(cols, i, &env, &inputs, out)
+                let recovered = step_vehicle(cols, i, &env, &inputs, out);
+                if recovered || !out.raised.is_empty() {
+                    answer_alerts(cols, i, tick, recovered, out);
+                }
             });
 
-            // Phase 2: serial response phase, in vehicle order.
-            let at = SimTime::from_ms(tick * cfg.tick_ms);
-            let mut cols = state.columns();
+            // Phase 2: the O(shards) merge, in shard (= vehicle) order.
             let mut layer_alerts = [0u32; 6];
-            for out in outs {
+            for out in &outs {
                 totals.absorb(&out.counters);
                 drift.absorb(&out.drift);
-                for pending in out.alerts {
-                    totals.alerts += 1;
-                    layer_alerts[pending.layer as usize] += 1;
-                    let response = responder.handle(&Alert {
-                        detector: pending.detector,
-                        subject: pending.vehicle,
-                        at,
-                        detail: String::new(),
-                    });
-                    apply_response(
-                        &mut cols,
-                        pending.vehicle as usize,
-                        response.action,
-                        tick,
-                        &mut totals,
-                    );
-                }
-                for id in out.recovered {
-                    responder.clear_subject(id);
+                for (sum, n) in layer_alerts.iter_mut().zip(out.layer_alerts) {
+                    *sum += n;
                 }
             }
+            let census = Census::merge(outs.iter().map(|out| &out.census));
 
             // Phase 3: the backend breach process (fleet-level stream).
             if breached {
@@ -938,8 +911,7 @@ impl FleetEngine {
                 totals.backend_breaches += 1;
             }
 
-            // Census, availability integral, periodic snapshot.
-            let census = Census::take(&state);
+            // Availability integral, periodic snapshot.
             availability_sum += census.mean_health;
             let periodic = cfg.snapshot_every > 0 && tick % cfg.snapshot_every == 0;
             if periodic || tick == cfg.ticks {
@@ -1043,7 +1015,7 @@ fn tick_inputs(
     }
 }
 
-/// Applies one containment action back to vehicle `idx` of the fleet.
+/// Applies one containment action back to vehicle `idx` of the window.
 fn apply_response(
     cols: &mut FleetColumns<'_>,
     idx: usize,
@@ -1333,6 +1305,25 @@ mod tests {
             "table and live share the outcome distribution; agreement {}",
             report.drift.agreement_rate()
         );
+    }
+
+    #[test]
+    fn a_repair_clears_strikes_after_the_tick_s_alerts() {
+        let mut state = FleetState::new(1, &SimRng::seed(1));
+        let mut views = state.shard_views(1);
+        let cols = &mut views[0];
+        cols.strikes[0] = 4;
+        let mut out = ShardOutput::default();
+        out.raised.push(ArchLayer::Network);
+        answer_alerts(cols, 0, 9, true, &mut out);
+        // The alert is the fifth strike (limp-home); only then does the
+        // verified repair start the ladder over.
+        let t = &out.counters;
+        assert_eq!(
+            (t.alerts, t.responses_limp_home, cols.strikes[0]),
+            (1, 1, 0)
+        );
+        assert_eq!(out.layer_alerts[ArchLayer::Network as usize], 1);
     }
 
     #[test]

@@ -11,6 +11,56 @@ use serde_json::{json, Value};
 use crate::state::FleetState;
 use crate::vehicle::VehicleStatus;
 
+/// Vehicles per health block. The mean health is the census's one
+/// float: the fleet's health column is summed block by block (each
+/// block in vehicle order, from `0.0`), and the block sums are folded
+/// in block order. Shard windows are whole blocks, so every shard sums
+/// exactly the blocks the serial census would and the total never
+/// depends on `--shards`.
+pub(crate) const HEALTH_BLOCK: usize = 64;
+
+/// The census of one block-aligned window of the fleet: exact status
+/// counts plus the window's health block sums. Partials over
+/// consecutive windows merge into one [`Census`], in window order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CensusPart {
+    /// Vehicles per status, indexed by `VehicleStatus as usize`.
+    counts: [u64; 5],
+    /// Health sum of each `HEALTH_BLOCK` of the window, in order.
+    health_blocks: Vec<f64>,
+}
+
+impl CensusPart {
+    /// Counts one window: a branch-free status scan, then the block
+    /// sums of its health column. The window must start on a block
+    /// boundary of the fleet.
+    pub(crate) fn scan(status: &[VehicleStatus], health: &[f64]) -> Self {
+        // Byte counters per block: no store-to-load chain through
+        // `counts`, and the compare-and-add vectorizes.
+        const _: () = assert!(HEALTH_BLOCK <= u8::MAX as usize);
+        let mut counts = [0u64; 5];
+        for block in status.chunks(HEALTH_BLOCK) {
+            let mut in_block = [0u8; 5];
+            for &s in block {
+                for (k, n) in in_block.iter_mut().enumerate() {
+                    *n += u8::from(s as usize == k);
+                }
+            }
+            for (c, n) in counts.iter_mut().zip(in_block) {
+                *c += u64::from(n);
+            }
+        }
+        let health_blocks = health
+            .chunks(HEALTH_BLOCK)
+            .map(|block| block.iter().fold(0.0, |sum, h| sum + h))
+            .collect();
+        Self {
+            counts,
+            health_blocks,
+        }
+    }
+}
+
 /// Point-in-time fleet census: how many vehicles sit in each status,
 /// plus the mean residual health (the availability integrand).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -30,27 +80,37 @@ pub struct Census {
 }
 
 impl Census {
-    /// Counts the fleet — two dense column scans (status, then
-    /// health), the health sum running serially in vehicle order so
-    /// the float total never depends on shard layout.
+    /// Counts the whole fleet as one window — the same blocked health
+    /// sum the sharded tick merges, so both agree bit for bit.
     pub fn take(state: &FleetState) -> Self {
-        let mut c = Census::default();
-        for status in &state.status {
-            match status {
-                VehicleStatus::Healthy => c.healthy += 1,
-                VehicleStatus::Degraded => c.degraded += 1,
-                VehicleStatus::Compromised => c.compromised += 1,
-                VehicleStatus::Isolated => c.isolated += 1,
-                VehicleStatus::Lost => c.lost += 1,
+        Self::merge([&CensusPart::scan(&state.status, &state.health)])
+    }
+
+    /// Merges the partials of consecutive windows, given in window
+    /// (= vehicle) order: counts add, block sums fold in block order.
+    pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a CensusPart>) -> Self {
+        let mut counts = [0u64; 5];
+        let mut health_sum = 0.0;
+        for part in parts {
+            for (c, n) in counts.iter_mut().zip(part.counts) {
+                *c += n;
             }
+            health_sum = part.health_blocks.iter().fold(health_sum, |sum, b| sum + b);
         }
-        let health_sum: f64 = state.health.iter().sum();
-        c.mean_health = if state.is_empty() {
-            1.0
-        } else {
-            health_sum / state.len() as f64
-        };
-        c
+        let [healthy, degraded, compromised, isolated, lost] = counts;
+        let total: u64 = counts.iter().sum();
+        Census {
+            healthy,
+            degraded,
+            compromised,
+            isolated,
+            lost,
+            mean_health: if total == 0 {
+                1.0
+            } else {
+                health_sum / total as f64
+            },
+        }
     }
 
     /// Total vehicles counted.
@@ -197,9 +257,9 @@ mod tests {
     fn census_counts_and_averages() {
         let base = SimRng::seed(1).fork("fleet/vehicles");
         let mut fleet = FleetState::new(4, &base);
-        let mut cols = fleet.columns();
-        cols.quarantine(1, 1);
-        cols.compromise(2, 1, autosec_sim::ArchLayer::Network);
+        let mut views = fleet.shard_views(4);
+        views[0].quarantine(1, 1);
+        views[0].compromise(2, 1, autosec_sim::ArchLayer::Network);
         let c = Census::take(&fleet);
         assert_eq!(c.healthy, 2);
         assert_eq!(c.lost, 1);

@@ -1,20 +1,14 @@
 //! Struct-of-arrays fleet state.
 //!
-//! The fleet used to be a `Vec<Vehicle>` of per-vehicle structs. At
-//! population scale the tick loop is a columnar walk — check a status,
-//! draw from an RNG, bump a health — so the state now lives as one
-//! array per field ([`FleetState`]): the common no-event path touches
-//! the status and RNG columns only, and a census pass streams two
-//! dense arrays instead of striding through padded structs. The layout
-//! is also what a batched-RNG vehicle phase would want to vectorize
-//! over.
+//! The tick loop is a columnar walk — check a status, draw from an
+//! RNG, bump a health — so the fleet lives as one array per field
+//! ([`FleetState`]): the common no-event path touches the status and
+//! RNG columns only, and the census streams two dense arrays.
 //!
 //! Mutable access goes through [`FleetColumns`], a borrowed columnar
 //! window over a contiguous id range. [`FleetState::shard_views`]
-//! splits the fleet into per-shard windows the same way the old code
-//! split the vehicle vector — contiguous chunks, so shard merge order
-//! *is* vehicle order and the shard-invariance contract carries over
-//! unchanged.
+//! splits the fleet into per-shard windows — contiguous, so shard
+//! merge order *is* vehicle order.
 
 use autosec_sim::{ArchLayer, SimRng};
 
@@ -37,6 +31,9 @@ pub struct FleetState {
     pub flagged: Vec<bool>,
     /// Layer of the current incident; meaningless while `Healthy`.
     pub incident_layer: Vec<ArchLayer>,
+    /// Alerts answered since the last verified repair (the playbook's
+    /// escalation level).
+    pub strikes: Vec<u32>,
     /// Private RNG substream per vehicle
     /// (`root.fork("fleet/vehicles").fork_idx(i)`).
     pub rng: Vec<SimRng>,
@@ -52,6 +49,7 @@ impl FleetState {
             since: vec![0; n],
             flagged: vec![false; n],
             incident_layer: vec![ArchLayer::Physical; n],
+            strikes: vec![0; n],
             rng: (0..n).map(|i| fleet_base.fork_idx(i as u64)).collect(),
         }
     }
@@ -66,19 +64,6 @@ impl FleetState {
         self.status.is_empty()
     }
 
-    /// The whole fleet as one columnar window (ids `0..len`).
-    pub fn columns(&mut self) -> FleetColumns<'_> {
-        FleetColumns {
-            base: 0,
-            status: &mut self.status,
-            health: &mut self.health,
-            since: &mut self.since,
-            flagged: &mut self.flagged,
-            incident_layer: &mut self.incident_layer,
-            rng: &mut self.rng,
-        }
-    }
-
     /// Splits the fleet into contiguous windows of at most `chunk`
     /// vehicles — the per-shard views of the parallel tick phase.
     ///
@@ -87,38 +72,33 @@ impl FleetState {
     /// Panics if `chunk` is zero.
     pub fn shard_views(&mut self, chunk: usize) -> Vec<FleetColumns<'_>> {
         assert!(chunk > 0, "shard chunk must be positive");
-        let mut views = Vec::with_capacity(self.len().div_ceil(chunk.max(1)).max(1));
-        let mut base = 0u32;
+        /// Splits the first `take` entries off a column's remainder.
+        fn head<'a, T>(rest: &mut &'a mut [T], take: usize) -> &'a mut [T] {
+            let (head, tail) = std::mem::take(rest).split_at_mut(take);
+            *rest = tail;
+            head
+        }
+        let n = self.len();
+        let mut views = Vec::with_capacity(n.div_ceil(chunk));
         let mut status = self.status.as_mut_slice();
         let mut health = self.health.as_mut_slice();
         let mut since = self.since.as_mut_slice();
         let mut flagged = self.flagged.as_mut_slice();
         let mut incident_layer = self.incident_layer.as_mut_slice();
+        let mut strikes = self.strikes.as_mut_slice();
         let mut rng = self.rng.as_mut_slice();
-        while !status.is_empty() {
+        for base in (0..n).step_by(chunk) {
             let take = chunk.min(status.len());
-            let (s, s_rest) = std::mem::take(&mut status).split_at_mut(take);
-            let (h, h_rest) = std::mem::take(&mut health).split_at_mut(take);
-            let (t, t_rest) = std::mem::take(&mut since).split_at_mut(take);
-            let (f, f_rest) = std::mem::take(&mut flagged).split_at_mut(take);
-            let (l, l_rest) = std::mem::take(&mut incident_layer).split_at_mut(take);
-            let (r, r_rest) = std::mem::take(&mut rng).split_at_mut(take);
-            status = s_rest;
-            health = h_rest;
-            since = t_rest;
-            flagged = f_rest;
-            incident_layer = l_rest;
-            rng = r_rest;
             views.push(FleetColumns {
-                base,
-                status: s,
-                health: h,
-                since: t,
-                flagged: f,
-                incident_layer: l,
-                rng: r,
+                base: base as u32,
+                status: head(&mut status, take),
+                health: head(&mut health, take),
+                since: head(&mut since, take),
+                flagged: head(&mut flagged, take),
+                incident_layer: head(&mut incident_layer, take),
+                strikes: head(&mut strikes, take),
+                rng: head(&mut rng, take),
             });
-            base += take as u32;
         }
         views
     }
@@ -140,6 +120,8 @@ pub struct FleetColumns<'a> {
     pub flagged: &'a mut [bool],
     /// Incident layer column.
     pub incident_layer: &'a mut [ArchLayer],
+    /// Escalation strike column.
+    pub strikes: &'a mut [u32],
     /// Private RNG column.
     pub rng: &'a mut [SimRng],
 }
@@ -221,7 +203,8 @@ mod tests {
     fn lifecycle_transitions() {
         let base = SimRng::seed(2).fork("fleet/vehicles");
         let mut state = FleetState::new(5, &base);
-        let mut cols = state.columns();
+        let mut views = state.shard_views(5);
+        let cols = &mut views[0];
         assert!(cols.alive(3));
         cols.compromise(3, 7, ArchLayer::Collaboration);
         assert_eq!(cols.status[3], VehicleStatus::Compromised);

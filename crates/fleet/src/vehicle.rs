@@ -1,17 +1,13 @@
-//! Per-vehicle vocabulary: lifecycle states, service levels, and the
-//! alert records the parallel phase hands to the serial responder.
+//! Per-vehicle vocabulary: lifecycle states and service levels.
 //!
-//! The per-vehicle *state* itself lives columnar in
-//! [`FleetState`](crate::state::FleetState) — a struct-of-arrays
-//! census, one array per field — so the tick loop streams dense
-//! columns instead of striding through padded structs. All behaviour
-//! is a pure function of a vehicle's own columns, its own RNG stream,
-//! and the shard-invariant
-//! [`TickInputs`](crate::engine::TickInputs) computed by the engine —
-//! the property that makes a fleet run bit-identical at any shard
-//! count.
+//! The per-vehicle state itself lives columnar in
+//! [`FleetState`](crate::state::FleetState). A vehicle's tick is a pure
+//! function of its own columns, its own RNG stream and the
+//! shard-invariant [`TickInputs`](crate::engine::TickInputs) — the
+//! property that makes a fleet run bit-identical at any shard count.
 
-/// Where a vehicle is in its compromise/recovery lifecycle.
+/// Where a vehicle is in its compromise/recovery lifecycle. The
+/// declaration order is the census index (`status as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VehicleStatus {
     /// Full service.
@@ -20,7 +16,7 @@ pub enum VehicleStatus {
     Degraded,
     /// Attacker-controlled (directly attacked or infected over V2X).
     Compromised,
-    /// Contained by the response engine; awaiting verified repair.
+    /// Contained by an isolation response; awaiting verified repair.
     Isolated,
     /// Permanently gone (state machine panicked — quarantined).
     Lost,
@@ -48,35 +44,6 @@ pub const COMPROMISED_HEALTH: f64 = 0.25;
 pub const ISOLATED_HEALTH: f64 = 0.45;
 /// Service level in limp-home mode.
 pub const LIMP_HOME_HEALTH: f64 = 0.3;
-
-/// What a vehicle asks the (serial) response pipeline to do — the only
-/// channel from the parallel phase back to shared state. Collected per
-/// shard in vehicle order, merged in shard order, so the response
-/// engine sees an identical alert sequence at any shard count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingAlert {
-    /// Alerting vehicle (the response subject).
-    pub vehicle: u32,
-    /// Detector identity (drives the playbook choice).
-    pub detector: &'static str,
-    /// Layer the incident hit (drives the fleet defender's
-    /// harden-the-loudest-layer rule).
-    pub layer: autosec_sim::ArchLayer,
-    /// What kind of event raised it.
-    pub kind: AlertKind,
-}
-
-/// Alert provenance, for the totals census.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertKind {
-    /// A live attack (scenario step or V2X infection) was seen as it
-    /// happened.
-    Attack,
-    /// A fault injection was noticed by the layer's defenses.
-    Fault,
-    /// An already-compromised vehicle was flagged after the fact.
-    LateDetect,
-}
 
 #[cfg(test)]
 mod tests {

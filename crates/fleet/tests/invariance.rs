@@ -56,8 +56,9 @@ fn canonical_snapshots_are_bit_identical_across_shard_counts() {
 
 #[test]
 fn odd_shard_counts_agree_too() {
-    // div_ceil chunking leaves a short tail chunk at shards=7; the
-    // merge discipline must still reconstruct exact vehicle order.
+    // Block-rounded chunking leaves a short tail window at shards=7
+    // (600 vehicles: four windows of 128 and one of 88); the merge
+    // discipline must still reconstruct exact vehicle order.
     let mut three = base_cfg();
     three.shards = 3;
     let mut seven = base_cfg();
@@ -110,12 +111,14 @@ fn quarantined_vehicle_streams_stay_retired() {
     use autosec_sim::SimRng;
 
     let _quiet = silence_panics();
-    let mut fleet = FleetState::new(12, &SimRng::seed(9).fork("fleet/vehicles"));
-    run_tick_sharded(&mut fleet, 3, 1, |cols, i, _| {
-        if cols.id(i) % 5 == 0 {
+    // Three whole health blocks, so three shards get a window each.
+    let mut fleet = FleetState::new(3 * 64, &SimRng::seed(9).fork("fleet/vehicles"));
+    let outs = run_tick_sharded(&mut fleet, 3, 1, |cols, i, _| {
+        if cols.id(i) % 65 == 0 {
             panic!("corrupted");
         }
     });
+    assert_eq!(outs.len(), 3);
     let lost: Vec<u32> = fleet
         .status
         .iter()
@@ -123,10 +126,10 @@ fn quarantined_vehicle_streams_stay_retired() {
         .filter(|(_, s)| **s == VehicleStatus::Lost)
         .map(|(i, _)| i as u32)
         .collect();
-    assert_eq!(lost, vec![0, 5, 10]);
+    assert_eq!(lost, vec![0, 65, 130]);
     let outs = run_tick_sharded(&mut fleet, 3, 2, |_, _, out| {
         out.counters.telemetry_frames += 1;
     });
     let frames: u64 = outs.iter().map(|o| o.counters.telemetry_frames).sum();
-    assert_eq!(frames, 9, "the three lost vehicles never step again");
+    assert_eq!(frames, 189, "the three lost vehicles never step again");
 }

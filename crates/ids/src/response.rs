@@ -55,6 +55,28 @@ impl ResponseAction {
     }
 }
 
+/// The playbook: the action for an alert from `detector` that is the
+/// `strikes`-th (1-based) against its subject since the subject's last
+/// verified repair. Cheapest covering action first, escalating on
+/// repeat offenders. [`ResponseEngine::handle`] is this function over a
+/// per-subject strike map; a caller that keeps its own strike counts
+/// (the fleet keeps one per vehicle) issues exactly the same actions.
+pub fn playbook(detector: &str, strikes: u32) -> ResponseAction {
+    let base = match detector {
+        "specification" => ResponseAction::FilterId,
+        "frequency" => ResponseAction::FilterId,
+        "interval" => ResponseAction::Rekey,
+        "fingerprint" => ResponseAction::IsolateNode,
+        _ => ResponseAction::Notify,
+    };
+    // Escalate after repeated strikes on the same subject.
+    match (base, strikes) {
+        (_, s) if s >= 5 => ResponseAction::LimpHome,
+        (ResponseAction::FilterId, s) if s >= 3 => ResponseAction::IsolateNode,
+        (b, _) => b,
+    }
+}
+
 /// A chosen response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -102,41 +124,16 @@ impl ResponseEngine {
         self.strikes.remove(&subject);
     }
 
-    /// Default playbook for a detector type.
-    fn playbook(detector: &str, strikes: u32) -> ResponseAction {
-        let base = match detector {
-            "specification" => ResponseAction::FilterId,
-            "frequency" => ResponseAction::FilterId,
-            "interval" => ResponseAction::Rekey,
-            "fingerprint" => ResponseAction::IsolateNode,
-            _ => ResponseAction::Notify,
-        };
-        // Escalate after repeated strikes on the same subject.
-        match (base, strikes) {
-            (_, s) if s >= 5 => ResponseAction::LimpHome,
-            (ResponseAction::FilterId, s) if s >= 3 => ResponseAction::IsolateNode,
-            (b, _) => b,
-        }
-    }
-
     /// Alerts recorded against `subject` so far.
     pub fn strikes(&self, subject: u32) -> u32 {
         self.strikes.get(&subject).copied().unwrap_or(0)
-    }
-
-    /// The action [`Self::handle`] would issue for `alert`, without
-    /// recording the strike or the response — lets an external
-    /// decision loop (the autodefense policy) preview the playbook's
-    /// escalation level before committing budget to it.
-    pub fn peek(&self, alert: &Alert) -> ResponseAction {
-        Self::playbook(alert.detector, self.strikes(alert.subject) + 1)
     }
 
     /// Handles one alert, issuing a response.
     pub fn handle(&mut self, alert: &Alert) -> Response {
         let strikes = self.strikes.entry(alert.subject).or_insert(0);
         *strikes += 1;
-        let action = Self::playbook(alert.detector, *strikes);
+        let action = playbook(alert.detector, *strikes);
         let response = Response {
             subject: alert.subject,
             action,
@@ -278,23 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_previews_handle_without_mutating() {
-        let mut e = ResponseEngine::new();
-        for i in 0..2 {
-            e.handle(&alert("frequency", 9, i));
-        }
-        assert_eq!(e.strikes(9), 2);
-        let next = alert("frequency", 9, 30);
-        // Third strike escalates filter → isolate; peek sees it coming.
-        assert_eq!(e.peek(&next), ResponseAction::IsolateNode);
-        assert_eq!(e.strikes(9), 2, "peek records nothing");
-        assert_eq!(e.history().len(), 2);
-        // And handle then issues exactly what peek predicted.
-        assert_eq!(e.handle(&next).action, ResponseAction::IsolateNode);
-        assert_eq!(e.strikes(0xBEEF), 0, "unseen subjects have no strikes");
-    }
-
-    #[test]
     fn per_subject_strike_isolation() {
         let mut e = ResponseEngine::new();
         for i in 0..4 {
@@ -321,6 +301,46 @@ mod tests {
                 alert(detector, rng.gen_range(0..16), i * 7)
             })
             .collect()
+    }
+
+    #[test]
+    fn strike_column_fold_issues_what_handle_issues() {
+        // The fleet answers alerts with one strike counter per subject
+        // plus `playbook`, not with a `ResponseEngine`; both must issue
+        // the same action for every alert, repairs included.
+        const SUBJECTS: usize = 50;
+        let mut rng = SimRng::seed(17);
+        let mut engine = ResponseEngine::new();
+        let mut strikes = [0u32; SUBJECTS];
+        let mut top_of_ladder = 0;
+        for i in 0..20_000u64 {
+            let subject = rng.gen_range(0..SUBJECTS);
+            if rng.gen_bool(0.05) {
+                engine.clear_subject(subject as u32);
+                strikes[subject] = 0;
+                continue;
+            }
+            let a = alert(
+                [
+                    "specification",
+                    "frequency",
+                    "interval",
+                    "fingerprint",
+                    "misbehavior",
+                ][rng.gen_range(0..5usize)],
+                subject as u32,
+                i,
+            );
+            strikes[subject] += 1;
+            let folded = playbook(a.detector, strikes[subject]);
+            assert_eq!(engine.handle(&a).action, folded, "alert {i}");
+            assert_eq!(engine.strikes(subject as u32), strikes[subject]);
+            top_of_ladder += usize::from(folded == ResponseAction::LimpHome);
+        }
+        assert!(
+            top_of_ladder > 0,
+            "the stream must reach the top of the ladder"
+        );
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! The golden digest below pins the canonical fleet artifact of one
 //! small default run, and the golden roots pin the MSS keys the SSI
 //! layer signs with. They may change only together with a CHANGES.md
-//! note explaining why the simulation's output moved.
+//! note explaining why the simulation's output moved. Every other
+//! fleet mode is held to shard invariance at tiny scale.
 
 use autosec::crypto::{util::to_hex, MssKeyPair, Sha256};
-use autosec_fleet::{FleetConfig, FleetEngine};
+use autosec_core::campaign::DefensePosture;
+use autosec_fleet::{CampaignMode, DefenderMode, Fidelity, FleetConfig, FleetEngine, FleetReport};
+use autosec_runner::silence_panics;
 
 /// SHA-256 of `FleetReport::canonical_json` for [`golden_cfg`].
 const GOLDEN_FLEET_DIGEST: &str =
@@ -80,4 +83,118 @@ fn mss_roots_are_golden_and_leaf_zero_signs() {
         assert!(!pk.verify(b"golden?", &sig));
         assert_eq!(sig.byte_len(), byte_len);
     }
+}
+
+/// A tiny fleet of six and a quarter 64-vehicle health blocks: at 3 shards it
+/// runs as three windows (192, 192 and 16 vehicles), so the shard merge
+/// is really exercised and a window that split a block would show.
+fn tiny_cfg() -> FleetConfig {
+    FleetConfig {
+        vehicles: 6 * 64 + 16,
+        ticks: 30,
+        seed: 42,
+        snapshot_every: 5,
+        calibration_trials: 2,
+        ..FleetConfig::default()
+    }
+}
+
+/// The epidemic configuration: undefended, under heavy attack — the
+/// run full of escalations.
+fn epidemic_cfg() -> FleetConfig {
+    FleetConfig {
+        posture: DefensePosture::none(),
+        attack_rate: 0.008,
+        ..tiny_cfg()
+    }
+}
+
+/// Runs `cfg` at 1 and 3 shards, asserts the canonical artifacts are
+/// byte-identical, and returns the 1-shard report.
+fn shard_invariant(name: &str, cfg: FleetConfig) -> FleetReport {
+    let run = |shards: usize| {
+        FleetEngine::new(FleetConfig {
+            shards,
+            ..cfg.clone()
+        })
+        .run()
+    };
+    let one = run(1);
+    assert_eq!(
+        one.canonical_json().to_string(),
+        run(3).canonical_json().to_string(),
+        "{name}: canonical fleet artifact differs between 1 and 3 shards"
+    );
+    one
+}
+
+#[test]
+fn every_fleet_mode_is_bit_identical_at_one_and_three_shards() {
+    let live = shard_invariant(
+        "live",
+        FleetConfig {
+            fidelity: Fidelity::Live,
+            attack_rate: 2e-3,
+            ..tiny_cfg()
+        },
+    );
+    assert!(
+        live.totals().attacks_attempted > 0,
+        "live: attacks replayed"
+    );
+
+    let mixed = shard_invariant(
+        "mixed:4",
+        FleetConfig {
+            fidelity: Fidelity::Mixed { every: 4 },
+            attack_rate: 0.01,
+            ..tiny_cfg()
+        },
+    );
+    assert!(mixed.drift.probes > 0, "mixed: drift probes ran");
+
+    let generated = shard_invariant(
+        "generated:6",
+        FleetConfig {
+            campaign: CampaignMode::Generated { count: 6 },
+            attack_rate: 0.02,
+            ..tiny_cfg()
+        },
+    );
+    assert!(
+        generated.totals().attacks_attempted > 0,
+        "generated: walks ran"
+    );
+
+    let closed_loop = shard_invariant(
+        "closed-loop",
+        FleetConfig {
+            defender: DefenderMode::ClosedLoop,
+            defender_budget: 6.0,
+            ..epidemic_cfg()
+        },
+    );
+    let defender = closed_loop.defender.as_ref().expect("an active defender");
+    assert!(
+        defender.to_json()["actions"].as_u64() > Some(0),
+        "closed-loop: the defender acted"
+    );
+
+    let epidemic = shard_invariant("epidemic", epidemic_cfg());
+    let t = epidemic.totals();
+    assert!(t.infections > 0, "epidemic: V2X infection spread");
+    assert!(
+        t.responses_isolate + t.responses_limp_home > 0,
+        "epidemic: alerts escalated"
+    );
+
+    let _quiet = silence_panics();
+    let chaos = shard_invariant(
+        "chaos",
+        FleetConfig {
+            chaos_lost_rate: 2e-3,
+            ..tiny_cfg()
+        },
+    );
+    assert!(chaos.totals().lost > 0, "chaos: vehicles were quarantined");
 }
