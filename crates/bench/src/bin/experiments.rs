@@ -293,11 +293,11 @@ fn fleet_usage() {
   A zero budget is the null defender, bit-identical to 'off'.
 
   --shards defaults to the available parallelism (capped by the
-  vehicle count); pass it explicitly to override. On a single-core
-  machine extra shards cost thread overhead instead of buying
-  wall-clock time (perfbench's fleet workloads measure it; see
-  BENCHMARK.json) — results are bit-identical
-  for any --shards value either way; --json writes the canonical-keyed
+  vehicle count); pass it explicitly to override. Every tick starts
+  and joins one thread per shard, so small fleets (a few thousand
+  vehicles) run faster at --shards 1: there the per-tick thread cost
+  outweighs the tick's work. Results are bit-identical for any
+  --shards value either way; --json writes the canonical-keyed
   fleet.json artifact (with --canonical the volatile throughput keys
   are stripped so artifacts from different shard counts diff
   byte-identical)."

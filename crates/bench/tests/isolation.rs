@@ -141,15 +141,19 @@ fn suite_artifacts_match_in_process_records() {
         .iter()
         .map(|exp| ExperimentRecord::ok(exp.slug, exp.id, Duration::ZERO, exp.run(&ctx)))
         .collect();
-    store
-        .write_run(&RunManifest {
-            seed: ctx.seed,
-            jobs: ctx.jobs,
-            trials_scale: ctx.trials_scale,
-            filter: Some(SLUGS.join(",")),
-            records,
-        })
-        .expect("write");
+    let manifest = RunManifest {
+        seed: ctx.seed,
+        jobs: ctx.jobs,
+        trials_scale: ctx.trials_scale,
+        filter: Some(SLUGS.join(",")),
+        records,
+    };
+    for record in &manifest.records {
+        store
+            .write_record(record, ctx.seed, ctx.jobs, ctx.trials_scale)
+            .expect("write record");
+    }
+    store.write_manifest(&manifest).expect("write manifest");
 
     // The whole canonical artifact tree must diff clean, manifest
     // included.

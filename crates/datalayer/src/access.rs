@@ -18,21 +18,10 @@ pub enum Scope {
     Identity,
 }
 
-/// A grant: owner allows `party` the listed scopes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Grant {
-    /// The grantee (e.g. `"oem"`, `"insurance"`, `"workshop"`).
-    pub party: String,
-    /// Allowed scopes.
-    pub scopes: BTreeSet<Scope>,
-}
-
 /// Per-owner access policy: deny-by-default, explicit grants, revocable.
 #[derive(Debug, Clone, Default)]
 pub struct OwnerPolicy {
     grants: HashMap<String, BTreeSet<Scope>>,
-    /// Audit log of access decisions: (party, scope, allowed).
-    audit: Vec<(String, Scope, bool)>,
 }
 
 impl OwnerPolicy {
@@ -56,30 +45,9 @@ impl OwnerPolicy {
         }
     }
 
-    /// Revokes everything from a party.
-    pub fn revoke_all(&mut self, party: &str) {
-        self.grants.remove(party);
-    }
-
-    /// Access check with audit logging.
-    pub fn check(&mut self, party: &str, scope: Scope) -> bool {
-        let allowed = self
-            .grants
-            .get(party)
-            .map(|s| s.contains(&scope))
-            .unwrap_or(false);
-        self.audit.push((party.to_owned(), scope, allowed));
-        allowed
-    }
-
-    /// The audit log.
-    pub fn audit_log(&self) -> &[(String, Scope, bool)] {
-        &self.audit
-    }
-
-    /// Current grants of a party.
-    pub fn scopes_of(&self, party: &str) -> BTreeSet<Scope> {
-        self.grants.get(party).cloned().unwrap_or_default()
+    /// Whether `party` currently holds `scope`.
+    pub fn check(&self, party: &str, scope: Scope) -> bool {
+        self.grants.get(party).is_some_and(|s| s.contains(&scope))
     }
 }
 
@@ -89,7 +57,7 @@ mod tests {
 
     #[test]
     fn deny_by_default() {
-        let mut p = OwnerPolicy::new();
+        let p = OwnerPolicy::new();
         assert!(!p.check("oem", Scope::Geolocation));
     }
 
@@ -109,7 +77,7 @@ mod tests {
         p.revoke("insurance", &Scope::Geolocation);
         assert!(!p.check("insurance", Scope::Geolocation));
         assert!(p.check("insurance", Scope::Aggregate));
-        p.revoke_all("insurance");
+        p.revoke("insurance", &Scope::Aggregate);
         assert!(!p.check("insurance", Scope::Aggregate));
     }
 
@@ -121,22 +89,11 @@ mod tests {
     }
 
     #[test]
-    fn audit_records_denials_too() {
-        let mut p = OwnerPolicy::new();
-        p.grant("oem", [Scope::Aggregate]);
-        p.check("oem", Scope::Aggregate);
-        p.check("oem", Scope::Identity);
-        let log = p.audit_log();
-        assert_eq!(log.len(), 2);
-        assert!(log[0].2);
-        assert!(!log[1].2);
-    }
-
-    #[test]
     fn grants_accumulate() {
         let mut p = OwnerPolicy::new();
         p.grant("oem", [Scope::Aggregate]);
         p.grant("oem", [Scope::Diagnostics]);
-        assert_eq!(p.scopes_of("oem").len(), 2);
+        assert!(p.check("oem", Scope::Aggregate));
+        assert!(p.check("oem", Scope::Diagnostics));
     }
 }

@@ -34,14 +34,6 @@ pub struct VehicleRecord {
     pub trace: Vec<GeoFix>,
 }
 
-impl VehicleRecord {
-    /// Number of PII fields exposed if this record leaks (name, email,
-    /// VIN, plus one per fix).
-    pub fn pii_weight(&self) -> usize {
-        3 + self.trace.len()
-    }
-}
-
 /// Generates a synthetic fleet of `n` vehicles with `fixes_per_vehicle`
 /// geolocation points each; roughly 1% of owners are sensitive.
 pub fn generate_fleet(n: usize, fixes_per_vehicle: usize, rng: &mut SimRng) -> Vec<VehicleRecord> {
@@ -101,13 +93,6 @@ mod tests {
         let sensitive = fleet.iter().filter(|v| v.sensitive).count();
         // ~1% of 5000 = ~50; allow wide slack.
         assert!((10..150).contains(&sensitive), "{sensitive}");
-    }
-
-    #[test]
-    fn pii_weight_counts_fixes() {
-        let mut rng = SimRng::seed(4);
-        let fleet = generate_fleet(1, 7, &mut rng);
-        assert_eq!(fleet[0].pii_weight(), 10);
     }
 
     #[test]

@@ -179,18 +179,6 @@ impl RecoveryReport {
             .map(|i| i.health_at(t, self.horizon, self.relief))
             .product()
     }
-
-    /// Samples composite service health at `samples` evenly spaced
-    /// instants — the degradation/recovery curve. Health at an instant
-    /// is the product of every active incident's residual health.
-    pub fn degradation_curve(&self, samples: usize) -> Vec<(f64, f64)> {
-        (0..samples)
-            .map(|k| {
-                let t = SimTime::from_ps(self.horizon.as_ps() * k as u64 / samples.max(1) as u64);
-                (t.as_ms_f64(), self.composite_health(t))
-            })
-            .collect()
-    }
 }
 
 /// The detector identity a layer's fault alert is attributed to —
@@ -307,7 +295,7 @@ mod tests {
         assert!(report.incidents.is_empty());
         assert_eq!(report.availability(), 1.0);
         assert_eq!(report.mttr_ms(), 0.0);
-        assert!(report.degradation_curve(8).iter().all(|&(_, h)| h == 1.0));
+        assert_eq!(report.composite_health(report.horizon), 1.0);
     }
 
     #[test]
@@ -360,15 +348,22 @@ mod tests {
     }
 
     #[test]
-    fn degradation_curve_dips_while_faults_are_active() {
+    fn health_dips_while_faults_are_active() {
         let plan = FaultPlan::empty().with(
             "drop-all",
             FaultEffect::DropFrames { p: 1.0 },
             SimTime::from_ms(100),
         );
         let report = RecoveryEngine::new(false).run(&plan, &base());
-        let curve = report.degradation_curve(20);
-        assert_eq!(curve[0].1, 1.0, "healthy before onset");
-        assert!(curve.last().unwrap().1 < 1.0, "silent fault never clears");
+        assert_eq!(
+            report.composite_health(SimTime::ZERO),
+            1.0,
+            "healthy before onset"
+        );
+        let last = SimTime::from_ps(report.horizon.as_ps() - 1);
+        assert!(
+            report.composite_health(last) < 1.0,
+            "silent fault never clears"
+        );
     }
 }

@@ -22,19 +22,6 @@ pub enum VehicleStatus {
     Lost,
 }
 
-impl VehicleStatus {
-    /// Stable census key.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            VehicleStatus::Healthy => "healthy",
-            VehicleStatus::Degraded => "degraded",
-            VehicleStatus::Compromised => "compromised",
-            VehicleStatus::Isolated => "isolated",
-            VehicleStatus::Lost => "lost",
-        }
-    }
-}
-
 /// Service level a compromised vehicle still delivers (the attacker
 /// degrades but rarely bricks — bricking would reveal the foothold).
 pub const COMPROMISED_HEALTH: f64 = 0.25;
@@ -44,14 +31,3 @@ pub const COMPROMISED_HEALTH: f64 = 0.25;
 pub const ISOLATED_HEALTH: f64 = 0.45;
 /// Service level in limp-home mode.
 pub const LIMP_HOME_HEALTH: f64 = 0.3;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn status_census_keys_are_stable() {
-        assert_eq!(VehicleStatus::Healthy.as_str(), "healthy");
-        assert_eq!(VehicleStatus::Lost.as_str(), "lost");
-    }
-}

@@ -98,9 +98,6 @@ impl BusOffAttack {
         // Each forced bit error costs the transmitter +8 TEC.
         bus.bump_tec(self.victim, self.forced_errors.saturating_mul(8))
     }
-
-    /// Errors needed to take a healthy node (TEC=0) to bus-off.
-    pub const ERRORS_TO_BUS_OFF: u32 = 32; // 32 * 8 = 256
 }
 
 #[cfg(test)]
@@ -162,7 +159,7 @@ mod tests {
         let victim = bus.add_node(1.0);
         BusOffAttack {
             victim,
-            forced_errors: BusOffAttack::ERRORS_TO_BUS_OFF,
+            forced_errors: 32, // 32 * 8 = 256 TEC: bus-off
         }
         .execute(&mut bus)
         .unwrap();

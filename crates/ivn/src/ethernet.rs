@@ -14,9 +14,6 @@ pub const ETH_OVERHEAD_BYTES: usize = 38;
 /// Minimum Ethernet payload.
 pub const ETH_MIN_PAYLOAD: usize = 46;
 
-/// Maximum standard Ethernet payload.
-pub const ETH_MAX_PAYLOAD: usize = 1500;
-
 /// A full-duplex point-to-point automotive Ethernet link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EthLink {
@@ -27,14 +24,6 @@ pub struct EthLink {
 }
 
 impl EthLink {
-    /// 100BASE-T1 link.
-    pub fn base_t1_100(cable_m: f64) -> Self {
-        Self {
-            bitrate_bps: 100_000_000,
-            cable_m,
-        }
-    }
-
     /// 1000BASE-T1 link.
     pub fn base_t1_1000(cable_m: f64) -> Self {
         Self {
@@ -88,9 +77,17 @@ impl Switch {
 mod tests {
     use super::*;
 
+    /// A 100BASE-T1 link.
+    fn t1_100(cable_m: f64) -> EthLink {
+        EthLink {
+            bitrate_bps: 100_000_000,
+            cable_m,
+        }
+    }
+
     #[test]
     fn serialization_dominates_at_100m() {
-        let link = EthLink::base_t1_100(10.0);
+        let link = t1_100(10.0);
         // 1000 B payload: 1038 wire bytes = 83.04 us + 50 ns prop.
         let lat = link.latency(1000).as_us_f64();
         assert!((83.0..83.3).contains(&lat), "{lat}");
@@ -98,7 +95,7 @@ mod tests {
 
     #[test]
     fn gigabit_is_ten_times_faster() {
-        let l100 = EthLink::base_t1_100(5.0);
+        let l100 = t1_100(5.0);
         let l1000 = EthLink::base_t1_1000(5.0);
         let s100 = l100.latency(500).as_ns_f64();
         let s1000 = l1000.latency(500).as_ns_f64();
@@ -113,7 +110,7 @@ mod tests {
 
     #[test]
     fn switch_adds_store_and_forward() {
-        let link = EthLink::base_t1_100(1.0);
+        let link = t1_100(1.0);
         let sw = Switch::default();
         let through = sw.forward_latency(&link, &link, 200);
         assert!(through > link.latency(200) * 2);

@@ -5,20 +5,18 @@
 //! Models secure distance measurement with Ultra-Wideband (UWB) signals —
 //! the technology the paper highlights for Passive Keyless Entry and Start
 //! (PKES) and collision avoidance — at the level where the attacks and
-//! defenses actually live: pulse trains on a noisy multipath channel and
-//! the receiver algorithms that turn them into time-of-arrival estimates.
+//! defenses actually live: pulse trains on a noisy channel and the
+//! receiver algorithms that turn them into time-of-arrival estimates.
 //!
 //! ## What is modelled
 //!
 //! - [`signal`] — discrete-time baseband waveforms (250 ps resolution)
-//! - [`channel`] — propagation delay, multipath taps, AWGN, attacker
-//!   signal superposition
+//! - [`channel`] — propagation delay and AWGN
 //! - [`hrp`] — IEEE 802.15.4z High-Rate-Pulse mode: pseudorandom Secure
 //!   Training Sequences (STS), naive leading-edge correlation receivers
 //!   versus integrity-checked receivers (refs \[4\], \[8\])
 //! - [`lrp`] — Low-Rate-Pulse mode: logical-layer distance bounding plus
 //!   physical-layer distance commitment (refs \[5]–[7\])
-//! - [`ranging`] — two-way time-of-flight ranging sessions
 //! - [`attacks`] — relay, Cicada-style early-pulse injection, ghost-peak,
 //!   early-detect/late-commit, and distance-enlargement (jam/overshadow)
 //!   adversaries
@@ -51,11 +49,10 @@ pub mod faults;
 pub mod hrp;
 pub mod lrp;
 pub mod pkes;
-pub mod ranging;
 pub mod signal;
 pub mod vrange;
 
-pub use channel::{Channel, Tap};
+pub use channel::Channel;
 pub use signal::{Waveform, SAMPLES_PER_METER, SAMPLE_PS};
 
 /// Speed of light in metres per second.

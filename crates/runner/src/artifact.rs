@@ -373,17 +373,6 @@ impl ArtifactStore {
         std::fs::write(&path, self.render(&manifest.to_json()))?;
         Ok(path)
     }
-
-    /// Writes `manifest.json` plus every completed record's artifact in
-    /// one shot; returns the manifest path.
-    pub fn write_run(&self, manifest: &RunManifest) -> io::Result<PathBuf> {
-        for record in &manifest.records {
-            if record.status == RunStatus::Ok {
-                self.write_record(record, manifest.seed, manifest.jobs, manifest.trials_scale)?;
-            }
-        }
-        self.write_manifest(manifest)
-    }
 }
 
 /// Canonical form of a filter set: lowercased, trimmed, deduplicated,
@@ -590,7 +579,10 @@ mod tests {
                 filter: None,
                 records: vec![record(jobs as u64 * 11)],
             };
-            let path = store.write_run(&m).expect("write");
+            store
+                .write_record(&m.records[0], m.seed, m.jobs, m.trials_scale)
+                .expect("write record");
+            let path = store.write_manifest(&m).expect("write manifest");
             let manifest = std::fs::read_to_string(path).expect("read manifest");
             let rec =
                 std::fs::read_to_string(store.dir().join("e9-demo.json")).expect("read record");
@@ -702,11 +694,13 @@ mod tests {
             filter: None,
             records: vec![record(1)],
         };
-        let path = store.write_run(&m).expect("write");
+        let record_path = store.write_record(&m.records[0], 9, 1, 1.0).expect("write");
+        assert_eq!(record_path, store.dir().join("e9-demo.json"));
+        let path = store.write_manifest(&m).expect("write");
         let text = std::fs::read_to_string(path).expect("read back");
         let v: Value = serde_json::from_str(&text).expect("valid json");
         assert_eq!(v["seed"].as_u64(), Some(9));
-        assert!(store.dir().join("e9-demo.json").exists());
+        assert!(record_path.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -731,29 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_records_never_serialize_artifacts() {
-        let dir = tmp("no-fail-artifacts");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::create(&dir).expect("create dir");
-        let m = RunManifest {
-            seed: 1,
-            jobs: 1,
-            trials_scale: 1.0,
-            filter: None,
-            records: vec![ExperimentRecord::failed(
-                "e1-depth",
-                "E1",
-                Duration::ZERO,
-                "boom".into(),
-            )],
-        };
-        store.write_run(&m).expect("manifest still written");
-        assert!(!store.dir().join("e1-depth.json").exists());
-        assert!(store.dir().join("manifest.json").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn resume_state_round_trips() {
         let dir = tmp("resume-round-trip");
         let _ = std::fs::remove_dir_all(&dir);
@@ -769,7 +740,10 @@ mod tests {
                 ExperimentRecord::skipped("e2-lrp-rounds", "E2"),
             ],
         };
-        store.write_run(&m).expect("write");
+        store
+            .write_record(&m.records[0], m.seed, m.jobs, m.trials_scale)
+            .expect("write record");
+        store.write_manifest(&m).expect("write manifest");
         let state = ResumeState::load(&dir).expect("loadable");
         assert_eq!(state.seed, 7);
         assert_eq!(state.trials_scale, 0.5);
@@ -814,7 +788,7 @@ mod tests {
                 ),
             ],
         };
-        store.write_run(&m).expect("write");
+        store.write_manifest(&m).expect("write");
         let state = ResumeState::load(&dir).expect("loadable");
         assert_eq!(
             state.failed,

@@ -64,18 +64,6 @@ impl GenConfig {
             stride: None,
         }
     }
-
-    /// Restricts the output to campaigns touching `layer`.
-    pub fn with_layer(mut self, layer: ArchLayer) -> Self {
-        self.layer = Some(layer);
-        self
-    }
-
-    /// Restricts the output to campaigns touching `stride`.
-    pub fn with_stride(mut self, stride: Stride) -> Self {
-        self.stride = Some(stride);
-        self
-    }
 }
 
 /// One generated campaign: an ordered, capability-consistent walk over
@@ -454,12 +442,24 @@ mod tests {
     #[test]
     fn acceptance_filters_hold() {
         let g = shared_graph();
-        let by_layer = generate(g, &GenConfig::new(8, 6, 42).with_layer(ArchLayer::Network));
+        let by_layer = generate(
+            g,
+            &GenConfig {
+                layer: Some(ArchLayer::Network),
+                ..GenConfig::new(8, 6, 42)
+            },
+        );
         assert!(!by_layer.is_empty());
         for c in &by_layer {
             assert!(c.touches_layer(g, ArchLayer::Network), "{}", c.id);
         }
-        let by_stride = generate(g, &GenConfig::new(8, 6, 42).with_stride(Stride::Spoofing));
+        let by_stride = generate(
+            g,
+            &GenConfig {
+                stride: Some(Stride::Spoofing),
+                ..GenConfig::new(8, 6, 42)
+            },
+        );
         assert!(!by_stride.is_empty());
         for c in &by_stride {
             assert!(c.touches_stride(g, Stride::Spoofing), "{}", c.id);

@@ -149,14 +149,6 @@ impl SdvPlatform {
         &self.placements
     }
 
-    /// Node hosting `component`, if deployed.
-    pub fn host_of(&self, component: &str) -> Option<&str> {
-        self.placements
-            .iter()
-            .find(|p| p.component == component)
-            .map(|p| p.node.as_str())
-    }
-
     /// Mutual authentication between a component and a node: each side
     /// verifies the other's presentation against the registry and trust
     /// anchors.
@@ -294,6 +286,14 @@ mod tests {
     use super::*;
     use crate::component::Asil;
 
+    /// The node `p` places `component` on, if deployed.
+    fn host<'p>(p: &'p SdvPlatform, component: &str) -> Option<&'p str> {
+        p.placements()
+            .iter()
+            .find(|pl| pl.component == component)
+            .map(|pl| pl.node.as_str())
+    }
+
     fn component(id: &str, cost: u32, asil: Asil) -> SoftwareComponent {
         SoftwareComponent {
             id: id.into(),
@@ -328,7 +328,7 @@ mod tests {
         p.register_component(&mut rng, component("brake", 10, Asil::D), &mut oem)
             .unwrap();
         p.place("brake", "hpc-0").unwrap();
-        assert_eq!(p.host_of("brake"), Some("hpc-0"));
+        assert_eq!(host(&p, "brake"), Some("hpc-0"));
         assert_eq!(p.auth_operations, 2, "mutual = two verifications");
     }
 
@@ -343,7 +343,7 @@ mod tests {
             .unwrap();
         let err = p.place("malware", "hpc-0").unwrap_err();
         assert!(matches!(err, SdvError::AuthFailed(_)), "{err}");
-        assert_eq!(p.host_of("malware"), None);
+        assert_eq!(host(&p, "malware"), None);
     }
 
     #[test]
@@ -364,7 +364,7 @@ mod tests {
         p.register_component(&mut rng, component("adas", 10, Asil::B), &mut vendor)
             .unwrap();
         p.place("adas", "hpc-0").unwrap();
-        assert_eq!(p.host_of("adas"), Some("hpc-0"));
+        assert_eq!(host(&p, "adas"), Some("hpc-0"));
     }
 
     #[test]
@@ -407,8 +407,8 @@ mod tests {
 
         let stranded = p.fail_node("hpc-0").unwrap();
         assert!(stranded.is_empty());
-        assert_eq!(p.host_of("brake"), Some("hpc-1"));
-        assert_eq!(p.host_of("adas"), Some("hpc-1"));
+        assert_eq!(host(&p, "brake"), Some("hpc-1"));
+        assert_eq!(host(&p, "adas"), Some("hpc-1"));
     }
 
     #[test]
@@ -423,7 +423,7 @@ mod tests {
         p.place("big", "hpc-0").unwrap();
         let stranded = p.fail_node("hpc-0").unwrap();
         assert_eq!(stranded, vec!["big".to_owned()]);
-        assert_eq!(p.host_of("big"), None);
+        assert_eq!(host(&p, "big"), None);
     }
 
     #[test]
@@ -437,7 +437,7 @@ mod tests {
             .unwrap();
         p.place("svc", "hpc-0").unwrap();
         p.place("svc", "hpc-1").unwrap(); // migrate
-        assert_eq!(p.host_of("svc"), Some("hpc-1"));
+        assert_eq!(host(&p, "svc"), Some("hpc-1"));
         // hpc-0's capacity must be free again.
         p.register_component(&mut rng, component("svc2", 20, Asil::Qm), &mut oem)
             .unwrap();

@@ -16,9 +16,6 @@ use crate::ProtoError;
 pub const RECORD_HEADER_BYTES: usize = 11;
 /// AEAD tag bytes.
 pub const RECORD_TAG_BYTES: usize = 16;
-/// Handshake flights in PSK mode (ClientHello, ServerHello+Finished,
-/// Finished).
-pub const HANDSHAKE_FLIGHTS: usize = 3;
 
 /// A (D)TLS session endpoint after a completed PSK handshake.
 #[derive(Debug, Clone)]

@@ -138,11 +138,6 @@ impl Registry {
         self.read().anchors.clone()
     }
 
-    /// Whether `did` is an anchor.
-    pub fn is_anchor(&self, did: &Did) -> bool {
-        self.read().anchors.iter().any(|(d, _)| d == did)
-    }
-
     /// Records an endorsement edge after verifying the authority
     /// credential (issuer vouches for subject).
     ///
@@ -175,11 +170,6 @@ impl Registry {
         }
         false
     }
-
-    /// Number of published DIDs.
-    pub fn did_count(&self) -> usize {
-        self.read().docs.len()
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +185,7 @@ mod tests {
         let w = Wallet::create(&mut rng, "ecu", &reg);
         let doc = reg.resolve(w.did()).unwrap();
         assert_eq!(doc.name, "ecu");
-        assert_eq!(reg.did_count(), 1);
+        assert_eq!(reg.history(w.did()), [doc]);
     }
 
     #[test]
@@ -263,9 +253,8 @@ mod tests {
         let cloud = Wallet::create(&mut rng, "cloud-provider", &reg);
         reg.add_trust_anchor(oem.did().clone(), "OEM");
         reg.add_trust_anchor(cloud.did().clone(), "Cloud");
-        assert_eq!(reg.trust_anchors().len(), 2);
-        assert!(reg.is_anchor(oem.did()));
-        assert!(reg.is_anchor(cloud.did()));
+        let anchors: Vec<Did> = reg.trust_anchors().into_iter().map(|(d, _)| d).collect();
+        assert_eq!(anchors, [oem.did().clone(), cloud.did().clone()]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Thread-safety of the shared verifiable data registry: vehicle, cloud,
 //! and charging-station actors hammer one registry concurrently.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use autosec_sim::SimRng;
@@ -26,22 +27,24 @@ fn concurrent_publish_resolve_and_verify() {
         })
         .collect();
 
-    std::thread::scope(|scope| {
+    let written: Vec<Did> = std::thread::scope(|scope| {
         // Writers: register new DIDs concurrently.
-        for t in 0..4u64 {
-            let registry = Arc::clone(&registry);
-            scope.spawn(move || {
-                let mut rng = SimRng::seed(1000 + t);
-                for i in 0..3 {
-                    let _ = Wallet::create_with_height(
-                        &mut rng,
-                        &format!("writer-{t}-{i}"),
-                        &registry,
-                        2,
-                    );
-                }
-            });
-        }
+        let writers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let registry = Arc::clone(&registry);
+                scope.spawn(move || {
+                    let mut rng = SimRng::seed(1000 + t);
+                    (0..3)
+                        .map(|i| {
+                            let name = format!("writer-{t}-{i}");
+                            Wallet::create_with_height(&mut rng, &name, &registry, 2)
+                                .did()
+                                .clone()
+                        })
+                        .collect::<Vec<Did>>()
+                })
+            })
+            .collect();
         // Readers: verify the pre-issued credentials concurrently.
         for cred in &creds {
             let registry = Arc::clone(&registry);
@@ -52,10 +55,18 @@ fn concurrent_publish_resolve_and_verify() {
                 }
             });
         }
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().expect("writer"))
+            .collect()
     });
 
-    // 1 anchor + 4 holders + 4*3 writers.
-    assert_eq!(registry.did_count(), 1 + 4 + 12);
+    // No concurrent publication was lost: all 4*3 distinct writer DIDs
+    // resolve.
+    assert_eq!(written.iter().collect::<HashSet<_>>().len(), 12);
+    for did in &written {
+        registry.resolve(did).expect("writer DID published");
+    }
     // Presentations still work after the storm.
     let vp = VerifiablePresentation::create(&mut holders[0], vec![creds[0].clone()], b"c")
         .expect("create");

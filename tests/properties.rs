@@ -304,7 +304,12 @@ fn resume_state_survives_mutated_manifests() {
             ),
         ],
     };
-    let path = store.write_run(&manifest).expect("write");
+    for record in [&manifest.records[0], &manifest.records[2]] {
+        store
+            .write_record(record, 42, 2, 0.5)
+            .expect("write record");
+    }
+    let path = store.write_manifest(&manifest).expect("write manifest");
     let original = ResumeState::load(&dir).expect("the real manifest loads");
     let ok_slugs: BTreeSet<String> = ["e1-depth", "e3-tech"].map(String::from).into();
     assert!(original.compatible_with(42, 0.5, &["tag:phy", "E1"]));
@@ -342,7 +347,7 @@ fn frame_decoders_survive_hostile_frames() {
     let mut cansec_tx = CansecTx::new(key, 1, false);
     let mut secoc_tx = SecOcAuthenticator::new_sender(secoc_cfg, key, 0x100);
     let mut canal = CanalReceiver::new();
-    let mut macsec = MacsecRx::new(key, 1).with_replay_window(8);
+    let mut macsec = MacsecRx::new(key, 1);
     let mut cansec = CansecRx::new(key, 1);
     let mut secoc = SecOcAuthenticator::new_receiver(secoc_cfg, key, 0x100);
 
