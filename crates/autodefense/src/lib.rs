@@ -38,8 +38,7 @@ pub mod policy;
 pub mod tournament;
 
 pub use action::{
-    DefenseAction, DefenseBudget, HARDEN_COST, ISOLATE_COST, MONITOR_CAP, MONITOR_COST,
-    MONITOR_STEP, ROTATE_COST,
+    DefenseBudget, HARDEN_COST, ISOLATE_COST, MONITOR_CAP, MONITOR_COST, MONITOR_STEP, ROTATE_COST,
 };
 pub use duel::{duel_trial, DuelConfig, DuelRun, MONITOR_MAX_PURCHASES, ROTATE_THRESHOLD};
 pub use policy::{learn_weights, DefenderConfig, RuleId, RuleWeights, N_RULES};

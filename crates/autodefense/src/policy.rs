@@ -56,17 +56,6 @@ impl RuleId {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// Stable display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            RuleId::DeployPriority => "deploy-priority",
-            RuleId::IsolatePlaybook => "isolate-playbook",
-            RuleId::RotateRepeat => "rotate-repeat",
-            RuleId::HardenAlerting => "harden-alerting",
-            RuleId::BoostMonitoring => "boost-monitoring",
-        }
-    }
 }
 
 /// Per-rule priority weights. Runtime rules are evaluated highest

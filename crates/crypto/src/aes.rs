@@ -26,18 +26,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// Inverse S-box, derived from [`SBOX`] at compile time to avoid a second
-/// error-prone 256-entry transcription.
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
-
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 /// Multiplication by `x` in GF(2^8) with the AES polynomial.
@@ -46,30 +34,18 @@ fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
-/// Generic GF(2^8) multiplication (used by InvMixColumns).
-fn gf_mul(mut a: u8, mut b: u8) -> u8 {
-    let mut acc = 0u8;
-    while b != 0 {
-        if b & 1 != 0 {
-            acc ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    acc
-}
-
 /// An expanded AES-128 key.
 ///
 /// # Example
 ///
 /// ```
 /// use autosec_crypto::Aes128;
-/// let aes = Aes128::new(&[0u8; 16]);
-/// let mut block = [0u8; 16];
-/// let ct = aes.encrypt_block(&block);
-/// block.copy_from_slice(&ct);
-/// assert_eq!(aes.decrypt_block(&block), [0u8; 16]);
+/// use autosec_crypto::util::to_hex;
+/// // FIPS 197 Appendix C.1.
+/// let key: [u8; 16] = std::array::from_fn(|i| i as u8);
+/// let pt: [u8; 16] = std::array::from_fn(|i| (i as u8) * 0x11);
+/// let ct = Aes128::new(&key).encrypt_block(&pt);
+/// assert_eq!(to_hex(&ct), "69c4e0d86a7b0430d8cdb78070b4c55a");
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
@@ -127,22 +103,6 @@ impl Aes128 {
         add_round_key(&mut s, &self.round_keys[10]);
         s
     }
-
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut s = *block;
-        add_round_key(&mut s, &self.round_keys[10]);
-        for r in (1..10).rev() {
-            inv_shift_rows(&mut s);
-            inv_sub_bytes(&mut s);
-            add_round_key(&mut s, &self.round_keys[r]);
-            inv_mix_columns(&mut s);
-        }
-        inv_shift_rows(&mut s);
-        inv_sub_bytes(&mut s);
-        add_round_key(&mut s, &self.round_keys[0]);
-        s
-    }
 }
 
 // State layout: s[4*c + r] is row r, column c (column-major, as FIPS 197).
@@ -159,28 +119,11 @@ fn sub_bytes(s: &mut [u8; 16]) {
     }
 }
 
-fn inv_sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
 fn shift_rows(s: &mut [u8; 16]) {
     // Row r rotates left by r.
     for r in 1..4 {
         let mut row = [s[r], s[4 + r], s[8 + r], s[12 + r]];
         row.rotate_left(r);
-        s[r] = row[0];
-        s[4 + r] = row[1];
-        s[8 + r] = row[2];
-        s[12 + r] = row[3];
-    }
-}
-
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let mut row = [s[r], s[4 + r], s[8 + r], s[12 + r]];
-        row.rotate_right(r);
         s[r] = row[0];
         s[4 + r] = row[1];
         s[8 + r] = row[2];
@@ -195,19 +138,6 @@ fn mix_columns(s: &mut [u8; 16]) {
         s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
         s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
         s[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-        s[4 * c + 1] =
-            gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-        s[4 * c + 2] =
-            gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-        s[4 * c + 3] =
-            gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
     }
 }
 
@@ -245,50 +175,6 @@ mod tests {
         let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
         let ct = aes.encrypt_block(&block("ae2d8a571e03ac9c9eb76fac45af8e51"));
         assert_eq!(to_hex(&ct), "f5d3d58503b9699de785895a96fdbaaf");
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt() {
-        let aes = Aes128::new(&block("000102030405060708090a0b0c0d0e0f"));
-        let pt = block("00112233445566778899aabbccddeeff");
-        assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
-    }
-
-    #[test]
-    fn decrypt_known_vector() {
-        let aes = Aes128::new(&block("000102030405060708090a0b0c0d0e0f"));
-        let pt = aes.decrypt_block(&block("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        assert_eq!(to_hex(&pt), "00112233445566778899aabbccddeeff");
-    }
-
-    #[test]
-    fn round_trip_many_random_blocks() {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let mut key = [0u8; 16];
-        rng.fill_bytes(&mut key);
-        let aes = Aes128::new(&key);
-        for _ in 0..200 {
-            let mut pt = [0u8; 16];
-            rng.fill_bytes(&mut pt);
-            assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
-        }
-    }
-
-    #[test]
-    fn inv_sbox_is_inverse() {
-        for i in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[i as usize] as usize], i);
-        }
-    }
-
-    #[test]
-    fn gf_mul_matches_xtime() {
-        for b in 0..=255u8 {
-            assert_eq!(gf_mul(b, 2), xtime(b));
-            assert_eq!(gf_mul(b, 1), b);
-            assert_eq!(gf_mul(b, 3), xtime(b) ^ b);
-        }
     }
 
     #[test]

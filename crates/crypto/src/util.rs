@@ -15,18 +15,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// XORs `src` into `dst` in place.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn xor_in_place(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "xor_in_place length mismatch");
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d ^= s;
-    }
-}
-
 /// Encodes bytes as lowercase hex.
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
@@ -78,19 +66,5 @@ mod tests {
     fn hex_rejects_garbage() {
         assert!(from_hex("abc").is_none()); // odd length
         assert!(from_hex("zz").is_none()); // non-hex
-    }
-
-    #[test]
-    fn xor_works() {
-        let mut a = [0b1010, 0b1111];
-        xor_in_place(&mut a, &[0b0110, 0b1111]);
-        assert_eq!(a, [0b1100, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn xor_length_mismatch_panics() {
-        let mut a = [0u8; 2];
-        xor_in_place(&mut a, &[0u8; 3]);
     }
 }

@@ -265,7 +265,7 @@ mod tests {
         assert!(posture.enabled(ArchLayer::Collaboration));
         assert!(posture.enabled(ArchLayer::Data));
         assert!(!posture.enabled(ArchLayer::Physical), "budget exhausted");
-        assert_eq!(d.budget.remaining(), 0.0);
+        assert_eq!(d.budget.spent(), d.budget.total());
     }
 
     #[test]

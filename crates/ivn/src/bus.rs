@@ -122,11 +122,6 @@ impl CanBus {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Number of attached nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Current error state of `node`.
     pub fn error_state(&self, node: NodeId) -> Result<ErrorState, IvnError> {
         let n = self.nodes.get(node.0).ok_or(IvnError::UnknownNode)?;

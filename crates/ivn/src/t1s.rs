@@ -75,11 +75,6 @@ impl T1sSegment {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.node_queues.len()
-    }
-
     /// Enqueues a frame of `payload_len` bytes at `node`.
     ///
     /// # Errors

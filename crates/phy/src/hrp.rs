@@ -96,11 +96,6 @@ impl HrpRanging {
         Self { cfg, receiver }
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &HrpConfig {
-        &self.cfg
-    }
-
     /// Generates the STS pulse polarities for `counter` from the session
     /// key — a fresh pseudorandom sequence per exchange, unpredictable to
     /// an attacker without the key.

@@ -91,11 +91,6 @@ impl LrpSession {
         Self { cfg }
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &LrpConfig {
-        &self.cfg
-    }
-
     /// Response bit for round `i` given challenge bit `c`: the prover's
     /// registered function `f(c, i) = HMAC(key, i)[bit c]`, modelling the
     /// two pre-committed response registers of classic distance bounding.
@@ -171,12 +166,6 @@ impl LrpSession {
     /// rounds: `2^-n_rounds`.
     pub fn early_commit_success_probability(&self) -> f64 {
         0.5f64.powi(self.cfg.n_rounds as i32)
-    }
-
-    /// Distance resolution implied by the timing jitter (one sigma), in
-    /// metres.
-    pub fn resolution_m(&self) -> f64 {
-        crate::ps_to_meters(self.cfg.timing_jitter_ps / 2.0)
     }
 }
 

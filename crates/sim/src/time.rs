@@ -99,11 +99,6 @@ impl SimDuration {
         }
         Self((ns * 1e3).round() as u64)
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Self) -> Self {
-        Self(self.0.saturating_sub(rhs.0))
-    }
 }
 
 impl SimTime {
