@@ -23,13 +23,6 @@ pub struct PlannedPath {
     pub stealth: f64,
 }
 
-impl PlannedPath {
-    /// The planner's objective: expected silent compromise.
-    pub fn score(&self) -> f64 {
-        self.success * self.stealth
-    }
-}
-
 /// Best path from any capability in `owned` to [`AttackGraph::GOAL`]
 /// using at most `budget` edges, skipping `banned` edges and edges
 /// with zero success under `posture`.
@@ -242,7 +235,7 @@ mod tests {
         // 0.9³ = 0.729 silent beats 1.0 × 0.2 stealth.
         let names: Vec<_> = p.edges.iter().map(|&i| g.edges()[i].name).collect();
         assert_eq!(names, vec!["quiet-1", "quiet-2", "quiet-3"]);
-        assert!((p.score() - 0.729).abs() < 1e-12);
+        assert!((p.success * p.stealth - 0.729).abs() < 1e-12);
     }
 
     #[test]
@@ -309,7 +302,7 @@ mod tests {
         let p = best_path(&g, &DefensePosture::none(), 1, &owned, &EdgeSet::empty())
             .expect("trivially done");
         assert!(p.edges.is_empty());
-        assert_eq!(p.score(), 1.0);
+        assert_eq!((p.success, p.stealth), (1.0, 1.0));
     }
 
     #[test]

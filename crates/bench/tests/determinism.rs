@@ -115,7 +115,7 @@ fn quarantined_outcome_sequences_are_jobs_invariant() {
     // The fault-tolerance counterpart of the tables test: when trials
     // panic, the full TrialOutcome sequence — which slots died and
     // with what message — must also be independent of the job count.
-    use autosec_runner::try_par_trials;
+    use autosec_runner::{try_par_trials, TrialOutcome};
     let base = SimRng::seed(42).fork("quarantine-probe");
     let run = |jobs: usize| {
         try_par_trials(jobs, 151, &base, |i, mut rng| {
@@ -126,8 +126,12 @@ fn quarantined_outcome_sequences_are_jobs_invariant() {
         })
     };
     let serial = run(1);
-    assert!(serial.iter().any(|o| !o.is_ok()), "no trial panicked");
-    assert!(serial.iter().any(|o| o.is_ok()), "every trial panicked");
+    let completed = serial
+        .iter()
+        .filter(|o| matches!(o, TrialOutcome::Ok(_)))
+        .count();
+    assert!(completed < serial.len(), "no trial panicked");
+    assert!(completed > 0, "every trial panicked");
     assert_eq!(
         serial,
         run(4),

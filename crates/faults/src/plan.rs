@@ -33,11 +33,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Whether the plan schedules nothing (or only no-op effects).
-    pub fn is_noop(&self) -> bool {
-        self.specs.iter().all(|s| s.effect.is_noop())
-    }
-
     /// Number of scheduled faults.
     pub fn len(&self) -> usize {
         self.specs.len()
@@ -134,7 +129,7 @@ mod tests {
     #[test]
     fn empty_plan_is_noop() {
         let p = FaultPlan::empty();
-        assert!(p.is_noop() && p.is_empty());
+        assert!(p.is_empty());
         assert_eq!(
             p.effects_at(SimTime::from_secs(1), ArchLayer::Network),
             vec![]
@@ -218,7 +213,6 @@ mod tests {
     #[test]
     fn noop_effects_never_surface() {
         let p = FaultPlan::empty().with("zero", FaultEffect::DropFrames { p: 0.0 }, SimTime::ZERO);
-        assert!(p.is_noop());
         assert!(p
             .effects_at(SimTime::from_secs(1), ArchLayer::Network)
             .is_empty());

@@ -110,11 +110,6 @@ impl SuiteReport {
             .filter(|r| r.status.is_failure())
             .collect()
     }
-
-    /// Whether every selected experiment completed or was skipped.
-    pub fn all_ok(&self) -> bool {
-        !self.aborted && self.failures().is_empty()
-    }
 }
 
 /// How one supervised experiment ended (internal).
@@ -455,7 +450,7 @@ mod tests {
             ..sh_opts(TOY_WORKER, "skip")
         };
         let report = run(&reg.all(), &RunCtx::new(42, 1), &opts);
-        assert!(report.all_ok());
+        assert!(!report.aborted && report.failures().is_empty());
         assert_eq!(report.records[0].status, RunStatus::Skipped);
         assert_eq!(report.records[1].status, RunStatus::Skipped);
         assert_eq!(report.records[2].status, RunStatus::Ok);
@@ -516,7 +511,7 @@ mod tests {
             ..sh_opts(script, "retry")
         };
         let report = run(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts);
-        assert!(report.all_ok());
+        assert!(!report.aborted && report.failures().is_empty());
         assert_eq!(report.records[0].status, RunStatus::Ok);
         assert_eq!(report.records[0].attempts, 3, "two failures + one success");
     }
@@ -540,7 +535,7 @@ mod tests {
         let opts = sh_opts(script, "ok");
         let reg = toy_registry();
         let report = run(&reg.select("t1-ok"), &RunCtx::new(42, 1), &opts);
-        assert!(report.all_ok());
+        assert!(!report.aborted && report.failures().is_empty());
         let table = report.records[0].table.as_ref().expect("parsed back");
         assert_eq!(table.id, "T1");
         assert_eq!(table.title, "from child");
