@@ -21,11 +21,14 @@
 //! ## Example
 //!
 //! ```
-//! use autosec_collab::world::{World, SensorModel};
+//! use autosec_collab::world::{Point, SensorModel, World};
 //! use autosec_sim::SimRng;
 //!
 //! let mut rng = SimRng::seed(11);
-//! let world = World::random(10, 200.0, &mut rng);
+//! let world = World::new(
+//!     vec![Point { x: 0.0, y: 0.0 }],
+//!     vec![Point { x: 20.0, y: 0.0 }, Point { x: 0.0, y: 35.0 }],
+//! );
 //! let v = world.vehicles()[0];
 //! let dets = world.sense(v, &SensorModel::default(), &mut rng);
 //! assert!(!dets.is_empty());

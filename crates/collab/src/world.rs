@@ -1,7 +1,6 @@
 //! The 2-D traffic world and sensor models.
 
 use autosec_sim::SimRng;
-use rand::Rng;
 
 /// A point in the plane (metres).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -72,18 +71,6 @@ impl World {
         Self { vehicles, objects }
     }
 
-    /// Random world: `n_vehicles` vehicles and `n_vehicles * 2` objects
-    /// in a `size x size` area.
-    pub fn random(n_vehicles: usize, size: f64, rng: &mut SimRng) -> Self {
-        let pt = |rng: &mut SimRng| Point {
-            x: rng.gen_range(0.0..size),
-            y: rng.gen_range(0.0..size),
-        };
-        let vehicles = (0..n_vehicles).map(|_| pt(rng)).collect();
-        let objects = (0..n_vehicles * 2).map(|_| pt(rng)).collect();
-        Self { vehicles, objects }
-    }
-
     /// Vehicle ids.
     pub fn vehicles(&self) -> Vec<VehicleId> {
         (0..self.vehicles.len()).map(VehicleId).collect()
@@ -96,11 +83,6 @@ impl World {
     /// Panics on an out-of-range id.
     pub fn vehicle_pos(&self, v: VehicleId) -> Point {
         self.vehicles[v.0]
-    }
-
-    /// Ground-truth objects.
-    pub fn objects(&self) -> &[Point] {
-        &self.objects
     }
 
     /// Whether `v`'s sensor could plausibly see position `p`.
@@ -194,13 +176,5 @@ mod tests {
             .sum();
         let rate = 1.0 - seen as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.05, "{rate}");
-    }
-
-    #[test]
-    fn random_world_shape() {
-        let mut rng = SimRng::seed(4);
-        let w = World::random(7, 100.0, &mut rng);
-        assert_eq!(w.vehicles().len(), 7);
-        assert_eq!(w.objects().len(), 14);
     }
 }

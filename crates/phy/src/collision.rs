@@ -74,11 +74,6 @@ impl CollisionAvoidance {
         }
     }
 
-    /// Scenario in use.
-    pub fn scenario(&self) -> &CollisionScenario {
-        &self.scenario
-    }
-
     /// Executes one ranging + decision cycle.
     pub fn decide(&self, attack: Option<&OvershadowAttack>, rng: &mut SimRng) -> CollisionOutcome {
         let m = self.detector.measure(self.scenario.gap_m, attack, rng);

@@ -77,11 +77,6 @@ impl Pkes {
         }
     }
 
-    /// Backend in use.
-    pub fn backend(&self) -> ProximityBackend {
-        self.backend
-    }
-
     /// Attempts an unlock with the fob at `fob_distance_m`, optionally
     /// through a relay.
     pub fn try_unlock(
