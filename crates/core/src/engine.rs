@@ -107,11 +107,6 @@ impl LiveScenarioEngine {
             steps: scenario_registry(),
         }
     }
-
-    /// The underlying steps.
-    pub fn steps(&self) -> &[Box<dyn ScenarioStep>] {
-        &self.steps
-    }
 }
 
 impl Default for LiveScenarioEngine {
@@ -157,7 +152,6 @@ pub struct TableStep {
 pub struct StepOutcomeTable {
     postures: Vec<DefensePosture>,
     steps: Vec<TableStep>,
-    trials: usize,
 }
 
 impl StepOutcomeTable {
@@ -202,7 +196,6 @@ impl StepOutcomeTable {
         Self {
             postures: postures.to_vec(),
             steps,
-            trials,
         }
     }
 
@@ -216,19 +209,9 @@ impl StepOutcomeTable {
         Self::calibrate(&ladder, trials, jobs, base)
     }
 
-    /// The calibrated posture ladder, in column order.
-    pub fn postures(&self) -> &[DefensePosture] {
-        &self.postures
-    }
-
     /// The per-step rows, in registry order.
     pub fn steps(&self) -> &[TableStep] {
         &self.steps
-    }
-
-    /// Monte-Carlo trials behind each cell.
-    pub fn trials(&self) -> usize {
-        self.trials
     }
 
     /// The stats governing step `idx` under `posture`.
@@ -350,7 +333,7 @@ mod tests {
     fn table_is_deterministic_across_jobs() {
         let a = depth_table(1);
         let b = depth_table(3);
-        assert_eq!(a.postures(), b.postures());
+        assert_eq!(a.postures, b.postures);
         for (ra, rb) in a.steps().iter().zip(b.steps()) {
             assert_eq!(ra.name, rb.name);
             assert_eq!(ra.by_posture, rb.by_posture, "{}", ra.name);
@@ -381,7 +364,7 @@ mod tests {
         let t = depth_table(1);
         // Exact: depth 3 is in the ladder.
         let d3 = DefensePosture::depth(3);
-        let pi = t.postures().iter().position(|p| *p == d3).unwrap();
+        let pi = t.postures.iter().position(|p| *p == d3).unwrap();
         for (i, row) in t.steps().iter().enumerate() {
             assert_eq!(t.stats_for(i, &d3), row.by_posture[pi], "{}", row.name);
         }

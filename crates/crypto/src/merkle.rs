@@ -131,11 +131,6 @@ impl MerkleTree {
 }
 
 impl MerkleProof {
-    /// The leaf index this proof speaks for.
-    pub fn leaf_index(&self) -> usize {
-        self.leaf_index
-    }
-
     /// Proof depth (tree height).
     pub fn depth(&self) -> usize {
         self.siblings.len()
@@ -185,7 +180,7 @@ mod tests {
             for (i, leaf) in data.iter().enumerate() {
                 let p = tree.prove(i).unwrap();
                 assert!(p.verify(&tree.root(), leaf), "n={n} i={i}");
-                assert_eq!(p.leaf_index(), i);
+                assert_eq!(p.leaf_index, i);
             }
         }
     }

@@ -157,11 +157,6 @@ impl MssKeyPair {
         self.capacity - self.next_leaf
     }
 
-    /// Total signature capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Signs `message` with the next unused leaf.
     ///
     /// # Errors
@@ -209,7 +204,7 @@ mod tests {
     fn every_leaf_works_then_exhausts() {
         let mut kp = keypair(2);
         let pk = kp.public_key();
-        assert_eq!(kp.capacity(), 4);
+        assert_eq!(kp.capacity, 4);
         for i in 0..4 {
             let msg = format!("msg {i}");
             let sig = kp.sign(msg.as_bytes()).unwrap();

@@ -97,11 +97,6 @@ impl SecOcAuthenticator {
         }
     }
 
-    /// Current freshness value (next to send / last accepted).
-    pub fn freshness(&self) -> u64 {
-        self.freshness
-    }
-
     fn mac_input(data_id: u16, payload: &[u8], freshness: u64) -> Vec<u8> {
         let mut m = Vec::with_capacity(2 + payload.len() + 8);
         m.extend_from_slice(&data_id.to_be_bytes());
@@ -284,7 +279,7 @@ mod tests {
         }
         let pdu = tx.protect(b"arrives").unwrap();
         assert_eq!(rx.verify(&pdu).unwrap(), b"arrives");
-        assert_eq!(rx.freshness(), 301);
+        assert_eq!(rx.freshness, 301);
     }
 
     #[test]
